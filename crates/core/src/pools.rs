@@ -387,12 +387,16 @@ impl PoolState {
         self.topo.len
     }
 
-    /// Free amount of pooled resource `r` in the free slice `f` (the
-    /// value [`PoolState::free_fits`] compares a demand against; for the
-    /// per-node resource the fit check goes through the flavour pools
-    /// instead, see [`PoolState::ssd_aware`]).
-    pub fn free_component(&self, f: &FreeState, r: usize) -> f64 {
-        f.free.get(r)
+    /// This state's free slice with each modelled resource `r`'s free
+    /// amount replaced by `free(r)` (the values [`PoolState::free_fits`]
+    /// compares pooled demands against). Flavour pools and unmodelled
+    /// slots keep this state's values.
+    pub fn free_state_from(&self, free: impl Fn(usize) -> f64) -> FreeState {
+        let mut f = self.free_state();
+        for r in 0..self.topo.len {
+            f.free.set(r, free(r));
+        }
+        f
     }
 
     /// A full state with this state's topology and capacities but `f`'s

@@ -40,16 +40,17 @@
 //!   ([`AvailabilityProfile::advance_origin`]) instead of refolding and
 //!   re-querying every candidate, bit-identically (see the fast path in
 //!   [`ConservativeBackfill`]'s pass);
-//! * **query indexes** over the profile's segments, picked per machine
-//!   shape: machines whose resources are all pooled (no per-node
-//!   flavours) mirror the free counters into column-major arrays and
-//!   answer `fits_interval`/`earliest_start` with a branchless
-//!   SIMD-friendly chunk scan; machines with flavoured per-node
-//!   resources at `TREE_MIN_SEGMENTS`-plus segments use a balanced
-//!   tree (`crate::tree`) with per-resource minimum subtree
-//!   aggregates to locate the first blocking segment in O(log S). The
-//!   suffix-minima skyline accelerates the linear walk that remains the
-//!   debug-build oracle for both.
+//! * **segment storage and query evaluators** picked once per profile
+//!   from the machine shape: machines whose resources are all pooled
+//!   (no per-node flavours) store the segments' free counters only as
+//!   per-resource columns and answer `fits_interval`/`earliest_start`
+//!   with a branchless SIMD-friendly chunk scan; machines with
+//!   flavoured per-node resources store packed per-segment states and,
+//!   at `TREE_MIN_SEGMENTS`-plus segments, use a balanced tree
+//!   (`crate::tree`) with per-resource minimum subtree aggregates to
+//!   locate the first blocking segment in O(log S). The linear walk
+//!   (suffix-minima skyline accelerated on flavoured machines) remains
+//!   the debug-build oracle for both.
 //!
 //! The EASY shadow walk ([`shadow_and_leftover`]) deliberately does *not*
 //! use the indexes: it is a single early-exiting pass over the release
@@ -980,24 +981,32 @@ impl ReleaseMirror {
 /// origin ("now"), and `states[i]` holds on `[times[i], times[i+1])`
 /// (the last state holds forever).
 ///
-/// Storage is split: one [`PoolState`] **machine template** (topology,
+/// A profile stores one [`PoolState`] **machine template** (topology,
 /// capacities — identical across every segment of a profile by
-/// construction, since all segments derive from the same pool) plus a
-/// packed [`FreeState`] per segment holding only the mutable free
-/// counters. Walks, suffix minima, and tree aggregates all operate on
-/// the packed 64-byte states; full `PoolState`s are materialized only at
-/// the API boundary (`state_at`, `states`, `snapshot`) by stamping the
-/// free counters onto the template, so the snapshot wire format is
-/// unchanged.
+/// construction, since all segments derive from the same pool) plus
+/// each segment's mutable free counters, in one of two layouts picked
+/// once per profile from the machine shape ([`PoolState::ssd_aware`]):
+///
+/// * **Columns** (machines whose resources are all pooled — no per-node
+///   flavours — which covers the CPU + burst-buffer configurations the
+///   paper studies): `cols[r][i]` is segment `i`'s free amount of
+///   resource `r`, and nothing else is stored per segment. Flavour pools
+///   and unmodelled slots never change after the fold on such machines,
+///   so they live in the template alone.
+/// * **Packed states** (flavoured machines): a 64-byte [`FreeState`] per
+///   segment in `frees`, which the flavour-pool fit check
+///   ([`PoolState::free_fits`]), the skyline and the tree read.
+///
+/// Full `PoolState`s are materialized only at the API boundary
+/// (`state_at`, `states`, `snapshot`) by stamping the segment's free
+/// counters onto the template, so the snapshot wire format does not
+/// depend on the layout.
 ///
 /// Queries dispatch to one of three evaluators, picked per machine
 /// shape and segment count:
 ///
-/// * **Column scan** (machines whose resources are all pooled — no
-///   per-node flavours — which covers the CPU + burst-buffer
-///   configurations the paper studies): the free counters are mirrored
-///   into column-major arrays (`cols`) and the fit test over a run of
-///   segments becomes a branchless 8-wide chunked compare per resource
+/// * **Column scan** (column-stored profiles): the fit test over a run
+///   of segments is a branchless 8-wide chunked compare per resource
 ///   column (`scan_fail_mask8`, compiled to SIMD), with window
 ///   boundaries checked once per chunk rather than once per candidate.
 /// * **Hierarchical tree** (flavoured machines at
@@ -1010,9 +1019,9 @@ impl ReleaseMirror {
 ///   machines the scan beats it — its subtree pruning degenerates to
 ///   near-linear visit counts with worse constants — so they never
 ///   build it (measured; see DESIGN.md §10).
-/// * **Linear walk** (everything else, and the oracle): the sequential
-///   packed-state walk with the suffix-minima skyline (O(1) accept once
-///   the remaining tail fits).
+/// * **Linear walk** (small flavoured profiles, and the oracle): the
+///   sequential segment walk, with the suffix-minima skyline (O(1)
+///   accept once the remaining tail fits) on packed-state profiles.
 ///
 /// The scan, tree, and skyline are acceleration indexes only — results
 /// never depend on which evaluator answered, and debug builds
@@ -1023,34 +1032,32 @@ impl ReleaseMirror {
 #[derive(Clone, Debug)]
 pub struct AvailabilityProfile {
     times: Vec<f64>,
-    /// Packed free counters of the segment on `[times[i], times[i+1])`
-    /// (the last holds forever). The full state of segment `i` is
+    /// Column storage (pooled machines; empty on flavoured ones):
+    /// `cols[r][i]` is the free amount of resource `r` on `[times[i],
+    /// times[i+1])` (the last segment holds forever).
+    cols: Vec<Vec<f64>>,
+    /// Packed-state storage (flavoured machines; empty on pooled ones):
+    /// the free counters of segment `i`, whose full state is
     /// `machine.with_free(&frees[i])`.
     frees: Vec<FreeState>,
     /// Topology/capacity template shared by every segment: the pool the
-    /// profile was folded from. Its own free counters are never read —
-    /// segment state always comes from `frees`.
+    /// profile was folded from. On column-stored profiles its flavour
+    /// pools and unmodelled slots complete every segment's state; its
+    /// modelled free amounts are never read.
     machine: PoolState,
-    /// Hierarchical min index over `frees`; in-order rank `i` mirrors
-    /// `frees[i]`. Engaged only on flavoured machines at or above
-    /// `TREE_MIN_SEGMENTS` segments (column-scan machines never build
-    /// it — see [`AvailabilityProfile::sync_tree`]).
+    /// Hierarchical min index over `frees`; in-order rank `i` is
+    /// `frees[i]`. Engaged only at or above `TREE_MIN_SEGMENTS` segments
+    /// (column-stored profiles never build it — see
+    /// [`AvailabilityProfile::sync_tree`]).
     tree: ProfileTree,
     /// `skyline[i]` = component-wise minimum of `frees[i..]`; valid for
-    /// indices `>= skyline_clean_from`. Accelerates the linear queries;
-    /// left empty in release builds when the column scan serves this
-    /// machine (see [`AvailabilityProfile::rebuild_skyline`]).
+    /// indices `>= skyline_clean_from`. Accelerates the linear queries
+    /// on packed-state profiles; always empty on column-stored ones.
     skyline: Vec<FreeState>,
     /// Watermark below which skyline entries are invalidated by
     /// reservations. Part of the snapshot wire format ([`ProfileState`])
-    /// and evolves identically whichever query path is active.
+    /// and evolves identically whichever storage is active.
     skyline_clean_from: usize,
-    /// Column-major (structure-of-arrays) mirror of `frees` for machines
-    /// without a per-node resource: `cols[r][i]` is segment `i`'s free
-    /// amount of resource `r`. Empty on flavoured machines. Lets the fit
-    /// scan over segments run as a branchless chunked compare per
-    /// resource column instead of a per-segment 64-byte state walk.
-    cols: Vec<Vec<f64>>,
 }
 
 /// Segment count at or above which the hierarchical `ProfileTree`
@@ -1075,25 +1082,23 @@ impl Default for AvailabilityProfile {
     fn default() -> Self {
         Self {
             times: Vec::new(),
+            cols: Vec::new(),
             frees: Vec::new(),
             machine: PoolState::cpu_bb(0, 0.0),
             tree: ProfileTree::default(),
             skyline: Vec::new(),
             skyline_clean_from: 0,
-            cols: Vec::new(),
         }
     }
 }
 
 impl PartialEq for AvailabilityProfile {
     /// Profiles are equal when their piecewise-constant functions are:
-    /// same boundaries, same machine shape, same per-segment free
-    /// counters. The tree and skyline are acceleration indexes and take
-    /// no part in equality.
+    /// same boundaries and the same materialized per-segment states
+    /// (machine shape plus free counters). The storage layout, tree and
+    /// skyline take no part in equality.
     fn eq(&self, other: &Self) -> bool {
-        self.times == other.times
-            && self.frees == other.frees
-            && (self.frees.is_empty() || self.machine.same_machine(&other.machine))
+        self.times == other.times && self.states() == other.states()
     }
 }
 
@@ -1145,17 +1150,18 @@ impl AvailabilityProfile {
         }
         if k > 0 {
             self.times.drain(..k);
-            self.frees.drain(..k);
-            for col in &mut self.cols {
-                col.drain(..k);
-            }
-            if !self.skyline.is_empty() {
+            if self.columnar() {
+                for col in &mut self.cols {
+                    col.drain(..k);
+                }
+            } else {
+                self.frees.drain(..k);
                 self.skyline.drain(..k);
+                // Ranks shifted: resync the tree index (threshold
+                // crossings mirror what a refold would do).
+                self.sync_tree();
             }
             self.skyline_clean_from = self.skyline_clean_from.saturating_sub(k);
-            // Ranks shifted: resync the tree index (scan machines keep it
-            // off; threshold crossings mirror what a refold would do).
-            self.sync_tree();
         }
         self.times[0] = now;
         true
@@ -1177,14 +1183,15 @@ impl AvailabilityProfile {
         releases: impl IntoIterator<Item = (f64, JobDemand, NodeAssignment)>,
     ) {
         self.times.clear();
-        self.frees.clear();
         self.machine = pool;
         self.times.push(now);
+        self.select_storage();
         // Fold with a full-state accumulator (identical `free` arithmetic
-        // to the pre-packing profile), storing only the packed free
-        // counters per segment.
+        // to a full-state profile), storing only each segment's free
+        // counters; a boundary within 1e-12 of the previous one replaces
+        // that segment instead of opening a new one.
         let mut acc = pool;
-        self.frees.push(acc.free_state());
+        self.push_segment(&acc);
         let mut prev = f64::NEG_INFINITY;
         for (t, d, asn) in releases {
             let t = t.max(now);
@@ -1192,66 +1199,76 @@ impl AvailabilityProfile {
             prev = t;
             acc.free(&d, asn);
             if (t - *self.times.last().unwrap()).abs() < 1e-12 {
-                *self.frees.last_mut().unwrap() = acc.free_state();
+                self.pop_segment();
             } else {
                 self.times.push(t);
-                self.frees.push(acc.free_state());
             }
+            self.push_segment(&acc);
         }
-        self.sync_scan();
         self.rebuild_skyline();
         self.sync_tree();
     }
 
+    /// Empties the segment storage and picks its layout from the machine
+    /// shape: one column per resource on pooled machines, packed states
+    /// (`cols` empty) on flavoured ones.
+    fn select_storage(&mut self) {
+        self.frees.clear();
+        let ncols = if self.machine.ssd_aware() { 0 } else { self.machine.resource_len() };
+        self.cols.truncate(ncols);
+        self.cols.resize_with(ncols, Vec::new);
+        for col in &mut self.cols {
+            col.clear();
+        }
+    }
+
+    /// Appends `state`'s free counters as the last segment.
+    fn push_segment(&mut self, state: &PoolState) {
+        if self.columnar() {
+            for (r, col) in self.cols.iter_mut().enumerate() {
+                col.push(state.free_of(r));
+            }
+        } else {
+            self.frees.push(state.free_state());
+        }
+    }
+
+    /// Drops the last segment's free counters.
+    fn pop_segment(&mut self) {
+        for col in &mut self.cols {
+            col.pop();
+        }
+        self.frees.pop();
+    }
+
+    /// Whether this profile stores its segments as columns (pooled
+    /// machines), answered by the column scan.
+    #[inline]
+    fn columnar(&self) -> bool {
+        !self.cols.is_empty()
+    }
+
     /// Engages or clears the tree index according to the segment count
-    /// (see `TREE_MIN_SEGMENTS`). Machines served by the column scan
-    /// never build the tree: the scan answers every query the tree would,
-    /// faster, so the per-reservation aggregate maintenance would be pure
-    /// overhead.
+    /// (see `TREE_MIN_SEGMENTS`). Column-stored profiles never build the
+    /// tree (`frees` is empty): the scan answers every query the tree
+    /// would, faster, so the per-reservation aggregate maintenance would
+    /// be pure overhead.
     fn sync_tree(&mut self) {
-        if self.cols.is_empty() && self.frees.len() >= TREE_MIN_SEGMENTS {
+        if self.frees.len() >= TREE_MIN_SEGMENTS {
             self.tree.rebuild(&self.machine, &self.frees);
         } else {
             self.tree.clear();
         }
     }
 
-    /// Rebuilds the column-major free mirror (see
-    /// [`AvailabilityProfile::scan_active`]) — cleared on machines with a
-    /// per-node resource, whose fit checks go through the flavour pools.
-    fn sync_scan(&mut self) {
-        if self.machine.ssd_aware() {
-            self.cols.clear();
-            return;
-        }
-        let rlen = self.machine.resource_len();
-        self.cols.truncate(rlen);
-        self.cols.resize_with(rlen, Vec::new);
-        for (r, col) in self.cols.iter_mut().enumerate() {
-            col.clear();
-            col.extend(self.frees.iter().map(|f| self.machine.free_component(f, r)));
-        }
-    }
-
-    /// Whether the column scan answers queries for this profile.
-    #[inline]
-    fn scan_active(&self) -> bool {
-        !self.cols.is_empty()
-    }
-
-    /// Rebuilds the suffix-minima index over the current segments.
-    ///
-    /// On column-scan machines in release builds the vector is left
-    /// empty: the scan answers every production query, so the skyline
-    /// would only accelerate the unused linear path while costing a
-    /// 64-byte memmove on every reservation split. Debug builds keep it
-    /// so the linear oracle the scan is cross-checked against stays
-    /// exact and fast. The `skyline_clean_from` watermark is wire state
-    /// and is maintained identically whether or not the vector exists.
+    /// Rebuilds the suffix-minima index over the packed segments (left
+    /// empty on column-stored profiles, whose scan needs no skyline).
+    /// The `skyline_clean_from` watermark is wire state and is reset
+    /// identically for either layout.
     fn rebuild_skyline(&mut self) {
         self.skyline.clear();
         self.skyline_clean_from = 0;
-        if self.scan_active() && !cfg!(debug_assertions) {
+        if self.columnar() {
             return;
         }
         let n = self.frees.len();
@@ -1272,10 +1289,27 @@ impl AvailabilityProfile {
     }
 
     /// The per-segment states, materialized (diagnostic / equivalence
-    /// tests): segment `i` is the machine template stamped with the
-    /// packed free counters `frees[i]`.
+    /// tests): segment `i` is the machine template stamped with segment
+    /// `i`'s free counters.
     pub fn states(&self) -> Vec<PoolState> {
-        self.frees.iter().map(|f| self.machine.with_free(f)).collect()
+        (0..self.times.len()).map(|i| self.machine.with_free(&self.free_at(i))).collect()
+    }
+
+    /// Segment `i`'s packed free counters, whichever layout stores them.
+    /// Off the query paths: those pick their segment reader once per
+    /// query, never per segment.
+    fn free_at(&self, i: usize) -> FreeState {
+        if self.columnar() {
+            self.col_free(i)
+        } else {
+            self.frees[i]
+        }
+    }
+
+    /// Segment `i`'s packed free counters on a column-stored profile: the
+    /// template with the column amounts stamped in.
+    fn col_free(&self, i: usize) -> FreeState {
+        self.machine.free_state_from(|r| self.cols[r][i])
     }
 
     /// Index of the segment containing time `t` (clamped to the origin).
@@ -1290,13 +1324,7 @@ impl AvailabilityProfile {
 
     /// Free state at time `t` (clamped to the profile's origin).
     pub fn state_at(&self, t: f64) -> PoolState {
-        self.machine.with_free(&self.frees[self.seg_index(t)])
-    }
-
-    /// Whether `d` fits segment `i` (exact, on the packed state).
-    #[inline]
-    fn seg_fits(&self, i: usize, d: &JobDemand) -> bool {
-        self.machine.free_fits(&self.frees[i], d)
+        self.machine.with_free(&self.free_at(self.seg_index(t)))
     }
 
     /// Whether the skyline entry at `i` is valid and fits `d` — meaning
@@ -1317,7 +1345,7 @@ impl AvailabilityProfile {
     /// [`AvailabilityProfile::fits_interval_linear`]). Small profiles
     /// take the linear skyline walk directly.
     pub fn fits_interval(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
-        if self.scan_active() {
+        if self.columnar() {
             let fits = self.fits_interval_scan(d, start, duration);
             debug_assert_eq!(fits, self.fits_interval_linear(d, start, duration));
             return fits;
@@ -1326,7 +1354,7 @@ impl AvailabilityProfile {
             return self.fits_interval_linear(d, start, duration);
         }
         let end = start + duration;
-        let fits = self.seg_fits(self.seg_index(start), d) && {
+        let fits = self.machine.free_fits(&self.frees[self.seg_index(start)], d) && {
             // First boundary strictly greater than `start`.
             let i = self.times.partition_point(|t| *t <= start);
             match self.tree.first_blocking_at_or_after(i, d, &self.machine, &self.frees) {
@@ -1339,17 +1367,39 @@ impl AvailabilityProfile {
     }
 
     /// The frozen linear-scan `fits_interval` (suffix-minima skyline
-    /// acceleration in debug builds): the oracle the tree-indexed
-    /// [`AvailabilityProfile::fits_interval`] is checked against, kept
-    /// public so equivalence tests can compare the two paths explicitly.
+    /// acceleration on packed-state profiles): the oracle the scan- and
+    /// tree-indexed [`AvailabilityProfile::fits_interval`] is checked
+    /// against, kept public so equivalence tests can compare the paths
+    /// explicitly. On column-stored profiles it tests each segment's
+    /// materialized packed state with [`PoolState::free_fits`].
     pub fn fits_interval_linear(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
+        if self.columnar() {
+            self.fits_interval_walk(d, start, duration, |i| {
+                self.machine.free_fits(&self.col_free(i), d)
+            })
+        } else {
+            self.fits_interval_walk(d, start, duration, |i| {
+                self.machine.free_fits(&self.frees[i], d)
+            })
+        }
+    }
+
+    /// [`AvailabilityProfile::fits_interval_linear`]'s walk over the
+    /// segment-fit predicate `seg_fits` (picked once per query).
+    fn fits_interval_walk(
+        &self,
+        d: &JobDemand,
+        start: f64,
+        duration: f64,
+        seg_fits: impl Fn(usize) -> bool,
+    ) -> bool {
         let end = start + duration;
         let i0 = self.seg_index(start);
         if self.tail_fits(i0, d) {
             // Every segment from `start`'s onward fits.
             return true;
         }
-        if !self.seg_fits(i0, d) {
+        if !seg_fits(i0) {
             return false;
         }
         // First boundary strictly greater than `start`.
@@ -1358,7 +1408,7 @@ impl AvailabilityProfile {
             if self.tail_fits(i, d) {
                 return true;
             }
-            if !self.seg_fits(i, d) {
+            if !seg_fits(i) {
                 return false;
             }
             i += 1;
@@ -1381,7 +1431,7 @@ impl AvailabilityProfile {
     /// [`AvailabilityProfile::earliest_start_linear`]. Small profiles
     /// take the linear skyline walk directly.
     pub fn earliest_start(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        if self.scan_active() {
+        if self.columnar() {
             let found = self.earliest_start_scan(d, from, duration);
             debug_assert_eq!(
                 found.to_bits(),
@@ -1399,9 +1449,11 @@ impl AvailabilityProfile {
     }
 
     /// The frozen linear-walk `earliest_start` (suffix-minima skyline
-    /// acceleration in debug builds): the oracle the tree-indexed
-    /// [`AvailabilityProfile::earliest_start`] is checked against, kept
-    /// public so equivalence tests can compare the two paths explicitly.
+    /// acceleration on packed-state profiles): the oracle the scan- and
+    /// tree-indexed [`AvailabilityProfile::earliest_start`] is checked
+    /// against, kept public so equivalence tests can compare the paths
+    /// explicitly. On column-stored profiles it tests each segment's
+    /// materialized packed state with [`PoolState::free_fits`].
     ///
     /// Implemented as a single forward walk: when a segment inside the
     /// candidate's interval does not fit, every candidate up to that
@@ -1411,6 +1463,26 @@ impl AvailabilityProfile {
     /// instead of the O(S²) try-every-breakpoint scan — and the skyline
     /// accepts in O(1) once the remaining tail fits.
     pub fn earliest_start_linear(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
+        if self.columnar() {
+            self.earliest_start_walk(d, from, duration, |i| {
+                self.machine.free_fits(&self.col_free(i), d)
+            })
+        } else {
+            self.earliest_start_walk(d, from, duration, |i| {
+                self.machine.free_fits(&self.frees[i], d)
+            })
+        }
+    }
+
+    /// [`AvailabilityProfile::earliest_start_linear`]'s walk over the
+    /// segment-fit predicate `seg_fits` (picked once per query).
+    fn earliest_start_walk(
+        &self,
+        d: &JobDemand,
+        from: f64,
+        duration: f64,
+        seg_fits: impl Fn(usize) -> bool,
+    ) -> f64 {
         let n = self.times.len();
         if self.tail_fits(self.seg_index(from), d) {
             // Every segment from `from`'s onward fits: accept in O(1).
@@ -1419,10 +1491,10 @@ impl AvailabilityProfile {
         let mut cand = from;
         // First boundary strictly after the candidate.
         let mut i = self.times.partition_point(|t| *t <= from);
-        if !self.seg_fits(i.saturating_sub(1), d) {
+        if !seg_fits(i.saturating_sub(1)) {
             // `from` fails in its own segment: advance to the first
             // breakpoint whose segment fits.
-            while i < n && !self.seg_fits(i, d) {
+            while i < n && !seg_fits(i) {
                 i += 1;
             }
             if i == n {
@@ -1439,13 +1511,13 @@ impl AvailabilityProfile {
                 if self.tail_fits(i, d) {
                     return cand;
                 }
-                if !self.seg_fits(i, d) {
+                if !seg_fits(i) {
                     // Segment i blocks every candidate in (cand, times[i]]
                     // (their intervals all contain it, and times[i]'s own
                     // segment does not fit). Jump to the next fitting
                     // breakpoint.
                     i += 1;
-                    while i < n && !self.seg_fits(i, d) {
+                    while i < n && !seg_fits(i) {
                         i += 1;
                     }
                     if i == n {
@@ -1680,36 +1752,29 @@ impl AvailabilityProfile {
         // exactly `lo..hi` — no per-segment overlap tests needed.
         let lo = self.split_at(start);
         let hi = self.split_at(end);
-        let (lo_mut, hi_mut) = (lo, hi);
-        let machine = self.machine;
         // Subtract over the contiguous span. The interval fit was
-        // established by the caller (debug-asserted above), so the
-        // unchecked carve applies — same arithmetic as `free_alloc`,
-        // minus the per-segment fit re-check.
-        for f in &mut self.frees[lo_mut..hi_mut] {
-            let _ = machine.free_carve(f, d);
-        }
-        let dirty_end = self.skyline_clean_from.max(hi_mut);
-        // Mirror the carve into the columns as one tight subtraction per
-        // resource: the same `free - demand` arithmetic `free_alloc`
-        // applied to the packed states, so the mirrored values stay
-        // bit-identical (debug-checked below).
-        if lo_mut < hi_mut {
+        // established by the caller (debug-asserted above), so no
+        // per-segment fit re-check applies.
+        if self.columnar() {
+            // One tight subtraction per resource column: the same
+            // `free - demand` arithmetic `free_carve` applies to a packed
+            // state, so the amounts are bit-identical.
             for (r, col) in self.cols.iter_mut().enumerate() {
-                let demand = machine.demand_of(d, r);
-                for v in &mut col[lo_mut..hi_mut] {
+                let demand = self.machine.demand_of(d, r);
+                for v in &mut col[lo..hi] {
                     *v -= demand;
                 }
             }
-            debug_assert!((lo_mut..hi_mut).all(|i| {
-                (0..self.cols.len())
-                    .all(|r| self.cols[r][i] == machine.free_component(&self.frees[i], r))
-            }));
-        }
-        // Repair the tree index's aggregates over the mutated rank range
-        // (the flat packed states above are its single source of truth).
-        if self.tree.is_active() && lo_mut < hi_mut {
-            self.tree.refresh_range(lo_mut, hi_mut, &self.machine, &self.frees);
+        } else {
+            let machine = self.machine;
+            for f in &mut self.frees[lo..hi] {
+                let _ = machine.free_carve(f, d);
+            }
+            // Repair the tree index's aggregates over the mutated rank
+            // range (the flat packed states are its source of truth).
+            if self.tree.is_active() && lo < hi {
+                self.tree.refresh_range(lo, hi, &self.machine, &self.frees);
+            }
         }
         // Suffix minima at or before a mutated segment may now overstate
         // availability; invalidate them (queries fall back to exact
@@ -1718,16 +1783,17 @@ impl AvailabilityProfile {
         // whole prefix down, and valid-but-congestion-tight suffix entries
         // almost never accept mid-profile while costing a full state
         // compare per visited boundary.
-        self.skyline_clean_from = dirty_end;
+        self.skyline_clean_from = self.skyline_clean_from.max(hi);
     }
 
     /// Extracts the profile's owned state: boundaries, per-segment states
-    /// (materialized from the packed free counters — byte-identical to
-    /// the pre-packing full states, since every segment shares the fold
-    /// pool's topology and capacities), and the skyline watermark. The
-    /// tree and skyline are **indexes, not state** — neither appears on
-    /// the wire, and restore rebuilds them from the flat segments: the
-    /// tree deterministically from the exact states, and the skyline with
+    /// (materialized from the template and the stored free counters —
+    /// byte-identical whichever layout stores them, since every segment
+    /// shares the fold pool's topology and capacities), and the skyline
+    /// watermark. The storage layout, tree and skyline are **not
+    /// state** — none appears on the wire, and restore rebuilds them from
+    /// the flat segments: the layout from the machine shape, the tree
+    /// deterministically from the exact states, and the skyline with
     /// entries at or beyond the watermark identical to the maintained
     /// ones (they are suffix minima over unmutated segments) while
     /// entries below it are never read. Queries therefore answer exactly
@@ -1743,7 +1809,12 @@ impl AvailabilityProfile {
 
     /// Rebuilds a profile from extracted state, validating shape: equal
     /// `times`/`states` lengths, strictly increasing finite boundaries,
-    /// and a watermark within range.
+    /// a watermark within range, one machine shared by every segment,
+    /// and — on pooled machines, whose columns hold only the modelled
+    /// pooled amounts — segments that agree with the first everywhere
+    /// else (flavour pools, unmodelled slots). Anything else is a typed
+    /// [`SchedError::CorruptSnapshot`], so restore followed by
+    /// [`AvailabilityProfile::snapshot`] is a fixed point.
     pub fn restore(state: ProfileState) -> Result<Self, SchedError> {
         if state.times.is_empty() && state.states.is_empty() && state.skyline_clean_from == 0 {
             // A never-folded profile (fresh strategy, no pass yet).
@@ -1772,23 +1843,30 @@ impl AvailabilityProfile {
         }
         // Every segment of a folded profile derives from one pool, so all
         // must agree on topology and capacities — that shared machine
-        // becomes the template the packed free counters are read against.
+        // becomes the template the stored free counters are read against.
         let machine = state.states[0];
         if state.states.iter().any(|s| !s.same_machine(&machine)) {
             return Err(SchedError::CorruptSnapshot(
                 "profile segments must share one machine topology and capacity".into(),
             ));
         }
-        let mut profile = Self {
-            times: state.times,
-            frees: state.states.iter().map(|s| s.free_state()).collect(),
-            machine,
-            tree: ProfileTree::default(),
-            skyline: Vec::new(),
-            skyline_clean_from: 0,
-            cols: Vec::new(),
-        };
-        profile.sync_scan();
+        let mut profile = Self { machine, ..Self::default() };
+        profile.select_storage();
+        if profile.columnar() {
+            // Compare with the modelled amounts masked out: what is left
+            // is exactly what the columns cannot hold.
+            let rest = |s: &PoolState| s.free_state_from(|_| 0.0);
+            let shared = rest(&machine);
+            if state.states.iter().any(|s| rest(s) != shared) {
+                return Err(SchedError::CorruptSnapshot(
+                    "pooled profile segments must differ only in modelled pooled resources".into(),
+                ));
+            }
+        }
+        for s in &state.states {
+            profile.push_segment(s);
+        }
+        profile.times = state.times;
         profile.rebuild_skyline();
         profile.sync_tree();
         profile.skyline_clean_from = state.skyline_clean_from;
@@ -1804,49 +1882,46 @@ impl AvailabilityProfile {
         if t <= self.times[0] {
             return 0;
         }
-        match self.times.binary_search_by(|x| x.total_cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => {
-                let f = self.frees[i - 1];
-                self.times.insert(i, t);
-                self.frees.insert(i, f);
-                for (r, col) in self.cols.iter_mut().enumerate() {
-                    col.insert(i, self.machine.free_component(&f, r));
-                }
-                // Mirror the duplicate segment into the tree at the same
-                // rank (O(log S) balanced insert; reads the new state
-                // from the just-updated flat vector). Growing across the
-                // activation threshold engages the index mid-pass.
-                if self.tree.is_active() {
-                    self.tree.insert(i, &self.machine, &self.frees);
-                } else if self.cols.is_empty() && self.frees.len() >= TREE_MIN_SEGMENTS {
-                    // Mid-pass activation (column-scan machines never
-                    // engage the tree; see `sync_tree`).
-                    self.tree.rebuild(&self.machine, &self.frees);
-                }
-                // Keep the skyline index-aligned (when maintained — see
-                // `rebuild_skyline`). Entries before `i` are unchanged
-                // (the duplicate state was already folded into them via
-                // the original segment); the new entry folds the
-                // duplicate with the old suffix at `i`. Inside the
-                // invalidated prefix the value is never read. The
-                // watermark shift below the invalidation point is wire
-                // state and applies whether or not the vector exists.
-                if i < self.skyline_clean_from {
-                    if !self.skyline.is_empty() {
-                        self.skyline.insert(i, f);
-                    }
-                    self.skyline_clean_from += 1;
-                } else if !self.skyline.is_empty() {
-                    let v = match self.skyline.get(i) {
-                        Some(next) => self.machine.free_component_min(&f, next),
-                        None => f,
-                    };
-                    self.skyline.insert(i, v);
-                }
-                i
-            }
+        let i = match self.times.binary_search_by(|x| x.total_cmp(&t)) {
+            Ok(i) => return i,
+            Err(i) => i,
+        };
+        self.times.insert(i, t);
+        // Duplicate segment `i - 1` at rank `i`. The watermark shift
+        // below the invalidation point is wire state and applies to
+        // either layout.
+        let dirty = i < self.skyline_clean_from;
+        if dirty {
+            self.skyline_clean_from += 1;
         }
+        if self.columnar() {
+            for col in &mut self.cols {
+                col.insert(i, col[i - 1]);
+            }
+            return i;
+        }
+        let f = self.frees[i - 1];
+        self.frees.insert(i, f);
+        // Insert the duplicate segment into the tree at the same rank
+        // (O(log S) balanced insert; reads the new state from the
+        // just-updated flat vector). Growing across the activation
+        // threshold engages the index mid-pass.
+        if self.tree.is_active() {
+            self.tree.insert(i, &self.machine, &self.frees);
+        } else if self.frees.len() >= TREE_MIN_SEGMENTS {
+            self.tree.rebuild(&self.machine, &self.frees);
+        }
+        // Keep the skyline index-aligned. Entries before `i` are
+        // unchanged (the duplicate state was already folded into them
+        // via the original segment); the new entry folds the duplicate
+        // with the old suffix at `i`. Inside the invalidated prefix the
+        // value is never read.
+        let v = match self.skyline.get(i) {
+            Some(next) if !dirty => self.machine.free_component_min(&f, next),
+            _ => f,
+        };
+        self.skyline.insert(i, v);
+        i
     }
 }
 
@@ -2147,6 +2222,41 @@ mod tests {
             AvailabilityProfile::restore(unordered),
             Err(SchedError::CorruptSnapshot(_))
         ));
+
+        // Pooled segments that differ from the first outside the modelled
+        // pooled resources (a flavour pool, an unmodelled slot): columns
+        // cannot hold that, so restore must refuse rather than normalize.
+        let pooled =
+            AvailabilityProfile::new(0.0, PoolState::cpu_bb(4, 10.0), vec![]).snapshot().states[0];
+        let json = serde_json::to_string(&pooled).unwrap();
+        let edit = |from: &str, to: &str| -> PoolState {
+            assert!(json.contains(from), "unexpected PoolState encoding: {json}");
+            serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+        };
+        let odd_flavor = edit("\"flavor_free\":[0,", "\"flavor_free\":[3,");
+        let odd_slot = edit("10.0,0.0,", "10.0,1.5,");
+        for odd in [odd_flavor, odd_slot] {
+            assert!(odd.same_machine(&pooled) && odd != pooled);
+            let mixed = ProfileState {
+                times: vec![0.0, 10.0],
+                states: vec![pooled, odd],
+                skyline_clean_from: 0,
+            };
+            assert!(matches!(
+                AvailabilityProfile::restore(mixed),
+                Err(SchedError::CorruptSnapshot(_))
+            ));
+        }
+        // Differing in a modelled pooled amount is an ordinary profile.
+        let mut busier = pooled;
+        busier.set_free_nodes(1);
+        let fine = ProfileState {
+            times: vec![0.0, 10.0],
+            states: vec![pooled, busier],
+            skyline_clean_from: 1,
+        };
+        let restored = AvailabilityProfile::restore(fine.clone()).unwrap();
+        assert_eq!(restored.snapshot(), fine);
     }
 
     #[test]

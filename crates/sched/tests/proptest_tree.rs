@@ -9,17 +9,21 @@
 //! frozen scan-everything [`LegacyProfile`]. This harness seeds large
 //! machines with enough staggered releases to push profiles past the
 //! tree threshold, then drives random start / finish / reserve
-//! interleavings over R ∈ {2, 3, 4} systems (heterogeneous SSD flavours
-//! included), asserting at every pass:
+//! interleavings over pooled R ∈ {2, 3} and flavoured R ∈ {3, 4} systems
+//! (heterogeneous SSD flavours), asserting at every pass:
 //!
 //! 1. `earliest_start` / `fits_interval` / `state_at` from the
 //!    dispatched path `==` the `*_linear` oracles `==` `LegacyProfile`,
 //!    both on a freshly folded profile and after reservations have
 //!    split segments and invalidated the skyline watermark;
 //! 2. post-`reserve` boundaries and states are bit-identical between
-//!    the indexed profile and `LegacyProfile`;
+//!    the indexed profile and `LegacyProfile`, after dozens of carves
+//!    per pass;
 //! 3. `advance_origin` (the replay fast path's origin drop) agrees with
-//!    a from-scratch clamp-fold at the advanced instant.
+//!    a from-scratch clamp-fold at the advanced instant;
+//! 4. `restore(snapshot())` equals the profile and re-snapshots to
+//!    byte-identical JSON, whichever layout (columns or packed states)
+//!    stores its segments.
 //!
 //! Debug builds double the coverage for free: the dispatched queries
 //! internally cross-check the scan and tree answers against the linear
@@ -39,6 +43,12 @@ type Op = (u8, u16, u16, u16);
 /// push flavoured profiles past it so the tree actually serves queries.
 const TREE_MIN_SEGMENTS: usize = 192;
 
+/// Reservations attempted per reserve pass. About 45 of them carve, each
+/// splitting in about one boundary, so the column-stored pooled profiles
+/// grow well past `TREE_MIN_SEGMENTS` through `split_at` and the column
+/// carve, not through the fold alone.
+const RESERVES_PER_PASS: u16 = 64;
+
 /// A system under test: its full pool, a demand generator mapping raw op
 /// words onto (sometimes infeasible) probe demands, and how many
 /// staggered seed jobs to start before the random interleaving begins.
@@ -56,6 +66,23 @@ fn systems() -> Vec<SystemUnderTest> {
     let pooled = SystemUnderTest {
         pool: PoolState::cpu_bb(512, 50_000.0),
         demand: |a, b, _| JobDemand::cpu_bb(1 + u32::from(a) % 600, f64::from(b % 800) * 70.0),
+        seed_jobs: 230,
+        seed_ssd: |_| 0.0,
+    };
+    // R = 3, pooled only (an extra GPU pool): the column scan's generic
+    // width path, outside the two-column fast path.
+    let model = ResourceModel::new(vec![
+        ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
+        ResourceSpec::pooled("bb_gb", 50_000.0, DemandSlot::BbGb),
+        ResourceSpec::pooled("gpus", 1_024.0, DemandSlot::Extra(0)),
+    ])
+    .expect("3-resource pooled test model is valid");
+    let pooled3 = SystemUnderTest {
+        pool: PoolState::from_model(&model),
+        demand: |a, b, c| {
+            JobDemand::cpu_bb(1 + u32::from(a) % 600, f64::from(b % 800) * 70.0)
+                .with_extra(0, f64::from(c % 1_100))
+        },
         seed_jobs: 230,
         seed_ssd: |_| 0.0,
     };
@@ -102,7 +129,7 @@ fn systems() -> Vec<SystemUnderTest> {
         seed_jobs: 225,
         seed_ssd: |i| if i % 3 == 0 { 64.0 } else { 0.0 },
     };
-    vec![pooled, ssd, four]
+    vec![pooled, pooled3, ssd, four]
 }
 
 /// Asserts the three evaluators agree on one query shape.
@@ -122,6 +149,22 @@ fn check_queries(
         prop_assert_eq!(fits, legacy.fits_interval(d, now + off, dur));
         prop_assert_eq!(profile.state_at(now + off), legacy.state_at(now + off));
     }
+    Ok(())
+}
+
+/// Asserts `profile` survives snapshot → restore unchanged: the restored
+/// profile equals it and re-snapshots to byte-identical JSON.
+fn check_restore(profile: &AvailabilityProfile) -> Result<(), TestCaseError> {
+    let snap = profile.snapshot();
+    let json = serde_json::to_string(&snap).expect("profile snapshot serializes");
+    let back = AvailabilityProfile::restore(snap)
+        .map_err(|e| TestCaseError::fail(format!("restore refused its own snapshot: {e}")))?;
+    prop_assert_eq!(&back, profile, "restore(snapshot) diverged");
+    prop_assert_eq!(
+        serde_json::to_string(&back.snapshot()).expect("profile snapshot serializes"),
+        json,
+        "restore(snapshot) re-snapshots differently"
+    );
     Ok(())
 }
 
@@ -180,6 +223,7 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 let fresh =
                     AvailabilityProfile::new(now, *ledger.pool(), ledger.release_schedule());
                 prop_assert_eq!(&profile, &fresh, "incremental fold diverged at t={}", now);
+                check_restore(&profile)?;
                 let legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
                 let probe = (sut.demand)(b, c, a);
                 check_queries(&profile, &legacy, &probe, now, 1.0 + f64::from(c % 300))?;
@@ -208,9 +252,10 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 mirror.sync(&ledger);
                 mirror.fold_into(now, *ledger.pool(), &mut profile);
                 let mut legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
-                for salt in 0..3u16 {
-                    let rd = (sut.demand)(a ^ salt, c, b ^ salt);
-                    let rdur = 1.0 + f64::from((b ^ salt) % 400);
+                for salt in 0..RESERVES_PER_PASS {
+                    let k = salt.wrapping_mul(7_919);
+                    let rd = (sut.demand)(a ^ k, c.wrapping_add(k), b ^ salt);
+                    let rdur = 1.0 + f64::from((b ^ k) % 400);
                     let t = profile.earliest_start(&rd, now, rdur);
                     prop_assert_eq!(t, legacy.earliest_start(&rd, now, rdur));
                     if t.is_finite() {
@@ -221,6 +266,13 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 prop_assert_eq!(profile.times(), legacy.times(), "post-reserve boundaries");
                 prop_assert_eq!(profile.states(), legacy.states(), "post-reserve states");
                 check_queries(&profile, &legacy, &(sut.demand)(c, a, b), now, 2.0)?;
+                // Split segments and a dirty skyline watermark survive a
+                // snapshot round trip, and the restored indexes answer
+                // like the maintained ones.
+                check_restore(&profile)?;
+                let restored = AvailabilityProfile::restore(profile.snapshot())
+                    .expect("checked by check_restore");
+                check_queries(&restored, &legacy, &(sut.demand)(b, c, a), now, 3.0)?;
             }
         }
     }
@@ -230,10 +282,11 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Satellite: tree / column-scan / linear-skyline dispatch is
-    /// bit-identical to the linear oracles and to `LegacyProfile` under
-    /// random start/finish/reserve interleavings on R ∈ {2, 3, 4}
-    /// systems with 192-plus-segment profiles.
+    /// Tree / column-scan / linear-skyline dispatch is bit-identical to
+    /// the linear oracles and to `LegacyProfile`, and every profile is a
+    /// snapshot/restore fixed point, under random start/finish/reserve
+    /// interleavings on pooled and flavoured systems with 192-plus-segment
+    /// profiles.
     #[test]
     fn tree_profile_matches_skyline(
         ops in proptest::collection::vec(
