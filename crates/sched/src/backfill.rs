@@ -382,6 +382,9 @@ pub struct ConservativeBackfill {
     /// lies strictly in the future" replay condition is one comparison
     /// instead of an O(k) scan.
     cache_min_outcome: f64,
+    /// Per-pass dominance memo: scratch, cleared at the start of every
+    /// pass and never serialized.
+    memo: DominanceMemo,
 }
 
 impl ConservativeBackfill {
@@ -556,14 +559,15 @@ impl BackfillStrategy for ConservativeBackfill {
             0
         };
         // Per-pass dominance memo (see [`DominanceMemo`] for the
-        // bit-exactness argument). On a replayed prefix, seed it from
-        // the memoized outcomes so the fresh tail candidates start with
-        // the same bounds a full scan would have accumulated by then.
-        let mut memo = DominanceMemo::new();
+        // bit-exactness argument). On a replayed prefix, seed it with
+        // every memoized outcome — finite or `+inf`; skips are `NaN` —
+        // so the fresh tail candidates start with the same bounds a full
+        // scan would have accumulated by then.
+        self.memo.entries.clear();
         if begin > 0 {
             for (&idx, &t) in self.cache_ordered.iter().zip(&self.cache_outcome) {
-                if t.is_finite() && t > ctx.now() + TIME_EPS {
-                    memo.note(&ctx.demand(idx), ctx.walltime(idx).max(1.0), t);
+                if !t.is_nan() {
+                    self.memo.note(&ctx.demand(idx), ctx.walltime(idx).max(1.0), t);
                 }
             }
         }
@@ -579,9 +583,11 @@ impl BackfillStrategy for ConservativeBackfill {
             }
             let d = ctx.demand(idx);
             let walltime = ctx.walltime(idx).max(1.0);
-            let t = match memo.bound(&d, walltime, ctx.now()) {
-                None => f64::INFINITY,
-                Some(from) => self.profile.earliest_start(&d, from, walltime),
+            let from = self.memo.bound(&d, walltime, ctx.now());
+            let t = if from.is_finite() {
+                self.profile.earliest_start(&d, from, walltime)
+            } else {
+                from
             };
             if t <= ctx.now() + TIME_EPS && ctx.pool().fits(&d) {
                 ctx.start(idx, true);
@@ -591,20 +597,20 @@ impl BackfillStrategy for ConservativeBackfill {
                 self.profile.reserve(&d, t, walltime);
                 self.cache_ordered.push(idx);
                 self.cache_outcome.push(f64::NAN);
-            } else if t.is_finite() {
+                continue;
+            }
+            // An answer equal to its bound is redundant (the entry that
+            // gave the bound covers it); one at `now` bounds nothing.
+            if t > from.max(ctx.now() + TIME_EPS) {
+                self.memo.note(&d, walltime, t);
+            }
+            if t.is_finite() {
                 self.profile.reserve(&d, t, walltime);
                 ctx.reserve(idx, t);
-                self.cache_ordered.push(idx);
-                self.cache_outcome.push(t);
                 self.cache_min_outcome = self.cache_min_outcome.min(t);
-                if t > ctx.now() + TIME_EPS {
-                    memo.note(&d, walltime, t);
-                }
-            } else {
-                self.cache_ordered.push(idx);
-                self.cache_outcome.push(f64::INFINITY);
-                memo.note_inf(&d, walltime);
             }
+            self.cache_ordered.push(idx);
+            self.cache_outcome.push(t);
         }
         self.cache_head_clean = ctx.blocked_head().is_none();
     }
@@ -637,43 +643,60 @@ impl BackfillStrategy for ConservativeBackfill {
 /// walking at all. The replay oracle
 /// ([`ConservativeBackfill::verify_replay`]) and the legacy-equivalence
 /// golden suites re-derive every memoized outcome with plain full-walk
-/// queries, so the argument is machine-checked continuously.
+/// queries, and this module's property tests compare bounded starts with
+/// full walks directly, so the argument is machine-checked continuously.
 ///
 /// Entries are restricted to *plain* demands — no SSD, no extra
 /// resources — which dominate on the three `(nodes, bb_gb, dur)`
 /// components alone (their zero SSD/extra components are `≤` any
-/// query's). Finite answers live in a prefix-max grid over
-/// `⌈log₂ nodes⌉ × duration-bucket` cells, so a lookup probes two
-/// cells — each re-validated componentwise — instead of scanning all
-/// prior entries.
+/// query's). The bound is **exact**: the latest answer among *all*
+/// answers noted so far in the pass whose entry the query dominates.
+/// Entries are kept sorted by answer — an infinite answer is an ordinary
+/// entry at `t = +inf` — so a lookup scans back from the latest answer
+/// and stops at the first entry the query dominates. An entry is
+/// *redundant* when another one asks for no more and was answered no
+/// earlier: every query dominating it dominates the other too, so
+/// dropping it changes no bound. Two rules keep few redundant entries,
+/// which keeps both the scan and the insertion short:
+///
+/// * a candidate whose answer equals its bound is not noted — the entry
+///   that supplied the bound already makes it redundant;
+/// * a note drops the entries it makes redundant among the
+///   [`DominanceMemo::PRUNE`] answered just before it, which is where
+///   such entries collect. Redundant entries outside that window only
+///   lengthen scans, never change a bound.
+///
+/// The entries belong to [`ConservativeBackfill`] and are cleared, not
+/// freed, per pass.
+#[derive(Clone, Debug, Default)]
 struct DominanceMemo {
-    /// `grid[i][j]` = the latest-answered entry `(nodes, bb_gb, dur,
-    /// t)` among noted entries with `nodes ≤ 2^i` and `dur ≤ DUR[j]`
-    /// (prefix-max in both axes; `t = -inf` when empty).
-    grid: [[(u32, f64, f64, f64); Self::DB]; Self::NB],
-    /// Plain demands answered `+inf`, first few only (the check is
-    /// linear; one infinite answer usually dominates the rest of the
-    /// pass's big jobs).
-    inf: [(u32, f64, f64); Self::INF_CAP],
-    inf_len: usize,
+    /// Noted answers, ascending in `t`.
+    entries: Vec<MemoEntry>,
+}
+
+/// One noted answer: a plain demand over `dur` seconds answered `t`.
+/// Nodes are stored as `f64` so the dominance test is three
+/// same-width compares.
+#[derive(Clone, Copy, Debug)]
+struct MemoEntry {
+    nodes: f64,
+    bb_gb: f64,
+    dur: f64,
+    t: f64,
+}
+
+impl MemoEntry {
+    /// Whether `self` asks for no more than `other` in every component.
+    #[inline]
+    fn within(&self, other: &MemoEntry) -> bool {
+        (self.nodes <= other.nodes) & (self.bb_gb <= other.bb_gb) & (self.dur <= other.dur)
+    }
 }
 
 impl DominanceMemo {
-    const NB: usize = 12;
-    const DB: usize = 8;
-    const INF_CAP: usize = 8;
-    /// Duration-bucket upper bounds (seconds): 1 min .. 2 days, then
-    /// unbounded.
-    const DUR: [f64; Self::DB] =
-        [60.0, 300.0, 900.0, 3600.0, 10800.0, 43200.0, 172800.0, f64::INFINITY];
-
-    fn new() -> Self {
-        Self {
-            grid: [[(0, 0.0, 0.0, f64::NEG_INFINITY); Self::DB]; Self::NB],
-            inf: [(0, 0.0, 0.0); Self::INF_CAP],
-            inf_len: 0,
-        }
-    }
+    /// How many entries answered just before a new note it checks for
+    /// redundancy.
+    const PRUNE: usize = 8;
 
     /// Whether `d` asks for nodes and burst buffer only — the demands
     /// whose dominance is decided by `(nodes, bb_gb, dur)` alone.
@@ -681,69 +704,60 @@ impl DominanceMemo {
         d.ssd_gb_per_node == 0.0 && d.extra.iter().all(|&x| x == 0.0)
     }
 
-    /// Records the finite answer `t` for a reservation of `d` over
-    /// `dur` seconds. Callers only note answers strictly beyond `now`
-    /// (a bound of `now` is what queries start with anyway).
+    /// Records the answer `t` (finite, or `+inf` for "never fits this
+    /// pass") for a reservation of `d` over `dur` seconds. Every finite
+    /// `t` noted must be a boundary of the pass's profile later than
+    /// the pass's `now`.
     fn note(&mut self, d: &JobDemand, dur: f64, t: f64) {
         if !Self::plain(d) {
             return;
         }
-        let i0 = (32 - (d.nodes.max(1) - 1).leading_zeros()) as usize;
-        if i0 >= Self::NB {
-            return;
+        let new = MemoEntry { nodes: f64::from(d.nodes), bb_gb: d.bb_gb, dur, t };
+        let len = self.entries.len();
+        // Room for the insertion; the slot is overwritten below.
+        self.entries.push(new);
+        let e = &mut self.entries[..];
+        // The new entry goes after every entry answered no later.
+        let mut at = len;
+        while at > 0 && e[at - 1].t > t {
+            at -= 1;
         }
-        let j0 = Self::DUR.iter().position(|&e| dur <= e).unwrap_or(Self::DB - 1);
-        // Prefix-max grid: cells are monotone along both axes, so stop
-        // as soon as one already holds a later answer.
-        for row in self.grid.iter_mut().skip(i0) {
-            if t <= row[j0].3 {
-                break;
-            }
-            for cell in row.iter_mut().skip(j0) {
-                if t <= cell.3 {
-                    break;
-                }
-                *cell = (d.nodes, d.bb_gb, dur, t);
-            }
+        // Compact the window just before it, dropping the entries it
+        // makes redundant, then close up the later entries behind it.
+        let lo = at.saturating_sub(Self::PRUNE);
+        let mut w = lo;
+        for r in lo..at {
+            let x = e[r];
+            e[w] = x;
+            w += usize::from(!new.within(&x));
         }
+        e.copy_within(at..len, w + 1);
+        e[w] = new;
+        self.entries.truncate(w + 1 + len - at);
     }
 
-    /// Records that `d` over `dur` can never be placed this pass.
-    fn note_inf(&mut self, d: &JobDemand, dur: f64) {
-        if Self::plain(d) && self.inf_len < Self::INF_CAP {
-            self.inf[self.inf_len] = (d.nodes, d.bb_gb, dur);
-            self.inf_len += 1;
-        }
-    }
-
-    /// The dominance bound for querying `d` over `dur` at `now`:
-    /// `None` when a recorded infinite answer dominates (the query is
-    /// `+inf`, skip the walk), otherwise the time the profile walk may
-    /// start from. Probes the floor cell (largest bucket fully within
-    /// the query's class) and the query's own ceiling cell; both are
-    /// re-validated componentwise, so a miss can only weaken the bound
-    /// back toward `now`, never unsound.
-    fn bound(&self, d: &JobDemand, dur: f64, now: f64) -> Option<f64> {
-        if self.inf[..self.inf_len]
-            .iter()
-            .any(|&(n, b, du)| n <= d.nodes && b <= d.bb_gb && du <= dur)
-        {
-            return None;
-        }
-        let mut from = now;
-        if d.nodes >= 1 {
-            let i1 = (31 - d.nodes.leading_zeros()) as usize;
-            let i0 = ((32 - (d.nodes - 1).leading_zeros()) as usize).min(Self::NB - 1);
-            let j1 = Self::DUR.iter().rposition(|&e| e <= dur).unwrap_or(0);
-            let j0 = Self::DUR.iter().position(|&e| dur <= e).unwrap_or(Self::DB - 1);
-            for &(i, j) in &[(i1, j1), (i0.max(i1), j0.max(j1))] {
-                let cell = self.grid[i.min(Self::NB - 1)][j];
-                if cell.3 > from && cell.0 <= d.nodes && cell.1 <= d.bb_gb && cell.2 <= dur {
-                    from = cell.3;
-                }
+    /// The latest noted answer whose entry `d` over `dur` dominates, or
+    /// `now` when none does: the time the profile walk may start from.
+    /// `+inf` means the query is `+inf` without walking.
+    fn bound(&self, d: &JobDemand, dur: f64, now: f64) -> f64 {
+        const W: usize = 8;
+        let q = MemoEntry { nodes: f64::from(d.nodes), bb_gb: d.bb_gb, dur, t: now };
+        let e = &self.entries[..];
+        let mut i = e.len();
+        // Whole chunks as a branchless mask, so one branch decides eight
+        // entries; the latest hit is the mask's highest bit.
+        while i >= W {
+            let chunk: &[MemoEntry; W] = e[i - W..i].try_into().expect("chunk of W entries");
+            let mut mask = 0u32;
+            for (k, x) in chunk.iter().enumerate() {
+                mask |= u32::from(x.within(&q)) << k;
             }
+            if mask != 0 {
+                return chunk[(31 - mask.leading_zeros()) as usize].t;
+            }
+            i -= W;
         }
-        Some(from)
+        e[..i].iter().rev().find(|x| x.within(&q)).map_or(now, |x| x.t)
     }
 }
 
@@ -1965,6 +1979,7 @@ pub struct ConservativeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbsched_core::resource::{DemandSlot, ResourceModel, ResourceSpec};
 
     fn d(nodes: u32, bb: f64) -> JobDemand {
         JobDemand::cpu_bb(nodes, bb)
@@ -2257,6 +2272,137 @@ mod tests {
         };
         let restored = AvailabilityProfile::restore(fine.clone()).unwrap();
         assert_eq!(restored.snapshot(), fine);
+    }
+
+    /// The latest answer among the noted *plain* entries that `d` over
+    /// `dur` dominates, or `now`: what [`DominanceMemo::bound`] must
+    /// return, by exhaustive search.
+    fn brute_bound(noted: &[(JobDemand, f64, f64)], d: &JobDemand, dur: f64, now: f64) -> f64 {
+        noted
+            .iter()
+            .filter(|(e, de, _)| {
+                DominanceMemo::plain(e) && e.nodes <= d.nodes && e.bb_gb <= d.bb_gb && *de <= dur
+            })
+            .fold(now, |b, &(_, _, t)| b.max(t))
+    }
+
+    /// Maps raw words onto a demand: burst buffer is zero a quarter of
+    /// the time, node counts run past 2048, and one in six demands
+    /// carries SSD or an extra resource (never noted by the memo, but
+    /// still bounded by the plain entries it dominates).
+    fn memo_demand(a: u16, b: u8, c: u8) -> JobDemand {
+        let d = JobDemand::cpu_bb(1 + u32::from(a) % 4_096, f64::from(b % 4) * 40.0);
+        match c % 6 {
+            0 => JobDemand { ssd_gb_per_node: 64.0, ..d },
+            1 => d.with_extra(0, f64::from(c % 5)),
+            _ => d,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 256 })]
+
+        /// The memo's bound is the exact dominance maximum over every
+        /// answer noted in the pass, whatever order the answers arrive
+        /// in (out of `t` order, ties, `+inf`) and whatever the memo
+        /// drops as redundant.
+        #[test]
+        fn memo_bound_is_the_exact_dominated_maximum(
+            ops in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), 0u16..u16::MAX, 0u8..=255, 0u8..=255, 0u16..400),
+                1..200),
+        ) {
+            let now = 1_000.0;
+            let mut memo = DominanceMemo::default();
+            let mut noted = Vec::new();
+            for (round, chunk) in ops.chunks(120).enumerate() {
+                // A second round checks a cleared memo really forgets.
+                memo.entries.clear();
+                noted.clear();
+                for &(is_note, a, b, c, k) in chunk {
+                    let d = memo_demand(a, b, c);
+                    let dur = 1.0 + f64::from(k % 8) * 600.0;
+                    if is_note {
+                        let t = if k % 13 == 0 { f64::INFINITY } else { now + f64::from(k / 8) };
+                        memo.note(&d, dur, t);
+                        noted.push((d, dur, t));
+                    } else {
+                        let got = memo.bound(&d, dur, now);
+                        let want = brute_bound(&noted, &d, dur, now);
+                        proptest::prop_assert_eq!(
+                            got.to_bits(), want.to_bits(),
+                            "round {} bound {} != brute force {}", round, got, want
+                        );
+                    }
+                }
+            }
+        }
+
+        /// Starting a query at its memo bound gives the bit-identical
+        /// answer of a walk from `now`, on pooled (R = 2, R = 3) and
+        /// flavoured profiles under the pass's own carve sequence.
+        #[test]
+        fn memo_bound_start_equals_full_walk(
+            running in proptest::collection::vec((0u16..u16::MAX, 0u16..u16::MAX), 0..60),
+            cands in proptest::collection::vec((0u16..u16::MAX, 0u8..=255, 0u8..=255, 0u16..900), 1..80),
+        ) {
+            let gpus = ResourceModel::new(vec![
+                ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
+                ResourceSpec::pooled("bb_gb", 2_000.0, DemandSlot::BbGb),
+                ResourceSpec::pooled("gpus", 64.0, DemandSlot::Extra(0)),
+            ])
+            .expect("3-resource pooled test model is valid");
+            let systems: [(PoolState, u32); 3] = [
+                (PoolState::cpu_bb(512, 2_000.0), 0),
+                (PoolState::from_model(&gpus), 1),
+                (PoolState::with_ssd(128, 128, 2_000.0), 2),
+            ];
+            for (pool, kind) in systems {
+                let shape = |a: u16, b: u8, c: u8| -> JobDemand {
+                    let d = JobDemand::cpu_bb(1 + u32::from(a) % 300, f64::from(b % 4) * 150.0);
+                    match (kind, c % 4) {
+                        (1, 0) => d.with_extra(0, f64::from(c % 40)),
+                        (2, 0) => JobDemand { ssd_gb_per_node: 64.0, ..d },
+                        (2, 1) => JobDemand { ssd_gb_per_node: 240.0, ..d },
+                        _ => d,
+                    }
+                };
+                let now = 50.0;
+                let mut ledger = AllocLedger::new(pool);
+                for (i, &(a, b)) in running.iter().enumerate() {
+                    let d = shape(a % 64, (b % 4) as u8, (b >> 8) as u8);
+                    if ledger.fits(&d) {
+                        ledger.start(i, d, now + 1.0 + f64::from(b % 2_000));
+                    }
+                }
+                let mut mirror = ReleaseMirror::new();
+                let mut profile = AvailabilityProfile::default();
+                mirror.sync(&ledger);
+                mirror.fold_into(now, *ledger.pool(), &mut profile);
+                let mut memo = DominanceMemo::default();
+                for &(a, b, c, k) in &cands {
+                    let d = shape(a, b, c);
+                    let dur = 1.0 + f64::from(k);
+                    let full = profile.earliest_start(&d, now, dur);
+                    let from = memo.bound(&d, dur, now);
+                    let t = if from.is_finite() {
+                        profile.earliest_start(&d, from, dur)
+                    } else {
+                        from
+                    };
+                    proptest::prop_assert_eq!(
+                        t.to_bits(), full.to_bits(),
+                        "system {}: from {} gave {}, full walk {}", kind, from, t, full
+                    );
+                    if t > from.max(now + TIME_EPS) {
+                        memo.note(&d, dur, t);
+                    }
+                    if t.is_finite() {
+                        profile.reserve(&d, t, dur);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
