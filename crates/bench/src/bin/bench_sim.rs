@@ -201,10 +201,7 @@ fn main() {
 
     // --- simulate_large: 20k-job traces through the pure sim layers ---
     // Baseline policy so queue/backfill/profile machinery dominates the
-    // cost; few samples (each iteration is a full month-scale run). The
-    // `conservative_rebuild` case drives the same trace through the frozen
-    // pre-incremental rebuild-per-pass path — the tentpole's speedup is
-    // `conservative_fcfs` vs that reference.
+    // cost; few samples (each iteration is a full month-scale run).
     let n_big = if short { 2_000 } else { 20_000 };
     let big_label = if short { "2k" } else { "20k" };
     let big_samples = 3;
@@ -213,10 +210,8 @@ fn main() {
         // EASY runs the paper's window scope; conservative runs
         // queue-scoped (the textbook discipline reserves for *every*
         // waiting job), which is exactly the deep-profile regime the
-        // persistent profile and skyline index target. The rebuild
-        // reference uses the same scope as `conservative_fcfs` so the two
-        // time the same schedule.
-        let combos: [(&str, BaseScheduler, BackfillAlgorithm, BackfillScope); 5] = [
+        // persistent profile and skyline index target.
+        let combos: [(&str, BaseScheduler, BackfillAlgorithm, BackfillScope); 4] = [
             ("easy_fcfs", BaseScheduler::Fcfs, BackfillAlgorithm::Easy, BackfillScope::Window),
             ("easy_wfp", BaseScheduler::Wfp, BackfillAlgorithm::Easy, BackfillScope::Window),
             (
@@ -229,12 +224,6 @@ fn main() {
                 "conservative_wfp",
                 BaseScheduler::Wfp,
                 BackfillAlgorithm::Conservative,
-                BackfillScope::Queue,
-            ),
-            (
-                "conservative_rebuild_fcfs",
-                BaseScheduler::Fcfs,
-                BackfillAlgorithm::ConservativeRebuild,
                 BackfillScope::Queue,
             ),
         ];
@@ -355,20 +344,15 @@ fn main() {
         }
     }
 
-    // --- queue_resort: kinetic WFP priority maintenance ---
-    // Drives `QueueManager` directly: seed `w` waiting jobs, then run 64
-    // scheduling invocations at advancing `now`, each re-establishing the
-    // exact WFP permutation. `wfp_kinetic` is the engine's path — the
-    // certificate index pays per *crossing*, so a quiescent invocation is
-    // a heap peek; `wfp_full_resort` is the pre-kinetic discipline (score
-    // every job, stable-sort the cached scores) on the same job stream,
-    // kept as the honest old-vs-new contrast for DESIGN.md §10.2. Two
-    // regimes bracket real workloads: `burst` starts invoking right after
-    // the submit window, when every wait is still small and score
-    // crossings are dense (the kinetic worst case — the storm guard falls
-    // back to the rebuild there); `aged` starts invoking two days later,
-    // when the order has largely converged and crossings are sparse (the
-    // regime a live queue spends almost all wall-clock time in).
+    // --- queue_resort: WFP priority re-sort ---
+    // Seed `w` waiting jobs, then run 64 scheduling invocations at
+    // advancing `now`, each re-establishing the exact WFP permutation
+    // through `BaseScheduler::order`, which re-scores both jobs inside
+    // the comparator (the reference the engine's cached-score sort is
+    // property-tested against). Two regimes bracket real workloads:
+    // `burst` starts invoking right after the submit window, when every
+    // wait is still small and the order churns; `aged` starts invoking
+    // two days later, when the order has largely converged.
     {
         let mut rng = SmallRng::seed_from_u64(4_242);
         for w in [1_000usize, 10_000] {
@@ -383,25 +367,6 @@ fn main() {
                 })
                 .collect();
             for (regime, start) in [("burst", 7_260.0f64), ("aged", 180_000.0f64)] {
-                push(
-                    &format!("queue_resort_w{label}/wfp_kinetic_{regime}"),
-                    samples,
-                    0.02,
-                    &mut || {
-                        let mut q = bbsched_sched::QueueManager::new(BaseScheduler::Wfp);
-                        for i in 0..jobs.len() {
-                            q.push(i, &jobs);
-                        }
-                        let mut acc = 0usize;
-                        let mut now = start;
-                        for _ in 0..64 {
-                            q.order(&jobs, now);
-                            acc ^= q.as_slice()[0];
-                            now += 30.0;
-                        }
-                        acc
-                    },
-                );
                 push(
                     &format!("queue_resort_w{label}/wfp_full_resort_{regime}"),
                     samples,

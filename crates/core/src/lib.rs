@@ -78,8 +78,6 @@ pub use ga::{GaConfig, GaConfigError, MooGa, SolveMode};
 pub use pareto::{dominates, ParetoFront};
 pub use pools::{NodeAssignment, PoolState};
 pub use problem::{Available, JobDemand, KnapsackMooProblem, MooProblem, RepairStyle};
-#[allow(deprecated)]
-pub use problem::{CpuBbProblem, CpuBbSsdProblem};
 pub use resource::{
     DemandSlot, Flavor, FlavorSet, ResourceKind, ResourceModel, ResourceModelError, ResourceSpec,
     ResourceVector, MAX_FLAVORS, MAX_RESOURCES,

@@ -12,9 +12,7 @@
 //! [`crate::resource::MAX_RESOURCES`] pooled or per-node
 //! resources — the paper's stated extensibility goal ("BBSched can be
 //! easily extended to schedule other schedulable resources") realized as
-//! data instead of code. The historical [`CpuBbProblem`] and
-//! [`CpuBbSsdProblem`] types remain as thin deprecated wrappers and are
-//! byte-for-byte equivalent to the generic path (see the golden tests).
+//! data instead of code.
 
 use crate::chromosome::Chromosome;
 use crate::resource::{ResourceModel, ResourceVector, MAX_EXTRA, MAX_FLAVORS, MAX_RESOURCES};
@@ -662,182 +660,7 @@ impl MooProblem for KnapsackMooProblem {
     }
 }
 
-/// The §3.2.1 bi-objective problem: select window jobs to maximize node and
-/// burst-buffer utilization subject to free capacity.
-#[deprecated(
-    since = "0.2.0",
-    note = "use KnapsackMooProblem with ResourceModel::cpu_bb; this wrapper delegates to it"
-)]
-#[derive(Clone, Debug)]
-pub struct CpuBbProblem {
-    inner: KnapsackMooProblem,
-}
-
-#[allow(deprecated)]
-impl CpuBbProblem {
-    /// Builds the problem for a window of jobs against free capacity.
-    pub fn new(window: Vec<JobDemand>, avail_nodes: u32, avail_bb_gb: f64) -> Self {
-        Self {
-            inner: KnapsackMooProblem::new(window, ResourceModel::cpu_bb(avail_nodes, avail_bb_gb)),
-        }
-    }
-
-    /// Overrides the normalization baselines (e.g., total system capacity
-    /// instead of currently-free capacity).
-    pub fn with_normalizers(mut self, nodes: f64, bb_gb: f64) -> Self {
-        self.inner = self.inner.with_normalizers(&[nodes, bb_gb]);
-        self
-    }
-
-    /// The job demands in the window.
-    pub fn window(&self) -> &[JobDemand] {
-        self.inner.window()
-    }
-
-    /// Free nodes at this invocation.
-    pub fn avail_nodes(&self) -> u32 {
-        self.inner.model.avail_nodes()
-    }
-
-    /// Free burst buffer (GB) at this invocation.
-    pub fn avail_bb_gb(&self) -> f64 {
-        self.inner.avail.get(1)
-    }
-}
-
-#[allow(deprecated)]
-impl MooProblem for CpuBbProblem {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn num_objectives(&self) -> usize {
-        self.inner.num_objectives()
-    }
-    fn evaluate(&self, x: &Chromosome) -> Objectives {
-        self.inner.evaluate(x)
-    }
-    fn is_feasible(&self, x: &Chromosome) -> bool {
-        self.inner.is_feasible(x)
-    }
-    fn repair(&self, x: &mut Chromosome) {
-        self.inner.repair(x)
-    }
-    fn normalizers(&self) -> Objectives {
-        self.inner.normalizers()
-    }
-    fn scratch_from(&self, x: &Chromosome) -> EvalScratch {
-        self.inner.scratch_from(x)
-    }
-    fn scratch_set(&self, scratch: &mut EvalScratch, i: usize, on: bool) {
-        self.inner.scratch_set(scratch, i, on)
-    }
-    fn scratch_is_feasible(&self, scratch: &EvalScratch) -> bool {
-        self.inner.scratch_is_feasible(scratch)
-    }
-    fn repair_evaluate(&self, x: &mut Chromosome) -> Objectives {
-        self.inner.repair_evaluate(x)
-    }
-}
-
-/// The §5 four-objective problem on a cluster with heterogeneous local SSDs.
-///
-/// Objectives, in order:
-/// 1. node utilization `f1 = Σ n_i·x_i`
-/// 2. burst-buffer utilization `f2 = Σ b_i·x_i`
-/// 3. local SSD utilization `f3 = Σ s_i·n_i·x_i`
-/// 4. **minus** wasted local SSD `f4 = -Σ (l_ij - s_i)·x_i` (maximized)
-///
-/// Node→SSD-flavour assignment follows the paper: jobs requesting more than
-/// 128 GB per node must run on 256 GB nodes; jobs requesting at most 128 GB
-/// prefer 128 GB nodes and overflow onto 256 GB nodes. Total waste depends
-/// only on how many node-slots come from each pool, so the greedy assignment
-/// is optimal for `f4` given a selection.
-#[deprecated(
-    since = "0.2.0",
-    note = "use KnapsackMooProblem with ResourceModel::cpu_bb_ssd; this wrapper delegates to it"
-)]
-#[derive(Clone, Debug)]
-pub struct CpuBbSsdProblem {
-    inner: KnapsackMooProblem,
-    avail: Available,
-}
-
-#[allow(deprecated)]
-impl CpuBbSsdProblem {
-    /// Builds the problem. `avail.nodes` must equal
-    /// `avail.nodes_128 + avail.nodes_256`.
-    ///
-    /// The fourth normalizer (waste) defaults to the total free SSD capacity,
-    /// so a normalized `f4` of 0 means no waste and −1 means everything
-    /// assigned was wasted.
-    ///
-    /// # Panics
-    /// Panics if the node pools do not sum to `avail.nodes`.
-    pub fn new(window: Vec<JobDemand>, avail: Available) -> Self {
-        assert_eq!(
-            avail.nodes,
-            avail.nodes_128 + avail.nodes_256,
-            "SSD problem requires nodes == nodes_128 + nodes_256"
-        );
-        let model = ResourceModel::cpu_bb_ssd(avail.nodes_128, avail.nodes_256, avail.bb_gb);
-        let inner = KnapsackMooProblem::new(window, model)
-            .with_repair_style(RepairStyle::DropUnconditionally);
-        Self { inner, avail }
-    }
-
-    /// Overrides normalization baselines (nodes, bb, ssd, waste).
-    pub fn with_normalizers(mut self, norm: [f64; 4]) -> Self {
-        self.inner = self.inner.with_normalizers(&norm);
-        self
-    }
-
-    /// The job demands in the window.
-    pub fn window(&self) -> &[JobDemand] {
-        self.inner.window()
-    }
-
-    /// The availability this problem was built against.
-    pub fn available(&self) -> Available {
-        self.avail
-    }
-}
-
-#[allow(deprecated)]
-impl MooProblem for CpuBbSsdProblem {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn num_objectives(&self) -> usize {
-        self.inner.num_objectives()
-    }
-    fn evaluate(&self, x: &Chromosome) -> Objectives {
-        self.inner.evaluate(x)
-    }
-    fn is_feasible(&self, x: &Chromosome) -> bool {
-        self.inner.is_feasible(x)
-    }
-    fn repair(&self, x: &mut Chromosome) {
-        self.inner.repair(x)
-    }
-    fn normalizers(&self) -> Objectives {
-        self.inner.normalizers()
-    }
-    fn scratch_from(&self, x: &Chromosome) -> EvalScratch {
-        self.inner.scratch_from(x)
-    }
-    fn scratch_set(&self, scratch: &mut EvalScratch, i: usize, on: bool) {
-        self.inner.scratch_set(scratch, i, on)
-    }
-    fn scratch_is_feasible(&self, scratch: &EvalScratch) -> bool {
-        self.inner.scratch_is_feasible(scratch)
-    }
-    fn repair_evaluate(&self, x: &mut Chromosome) -> Objectives {
-        self.inner.repair_evaluate(x)
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::resource::{DemandSlot, ResourceSpec};
@@ -852,9 +675,13 @@ mod tests {
         ]
     }
 
+    fn cpu_bb_table1() -> KnapsackMooProblem {
+        KnapsackMooProblem::new(table1_window(), ResourceModel::cpu_bb(100, 100_000.0))
+    }
+
     #[test]
     fn cpu_bb_evaluates_table1_solutions() {
-        let p = CpuBbProblem::new(table1_window(), 100, 100_000.0);
+        let p = cpu_bb_table1();
         // Solution 2 of Table 1(b): {J1, J5} -> 100 nodes, 20 TB.
         let s2 = Chromosome::from_bits(&[true, false, false, false, true]);
         assert!(p.is_feasible(&s2));
@@ -869,7 +696,7 @@ mod tests {
 
     #[test]
     fn cpu_bb_detects_infeasible() {
-        let p = CpuBbProblem::new(table1_window(), 100, 100_000.0);
+        let p = cpu_bb_table1();
         // All five jobs: 160 nodes > 100.
         let all = Chromosome::from_bits(&[true; 5]);
         assert!(!p.is_feasible(&all));
@@ -880,7 +707,7 @@ mod tests {
 
     #[test]
     fn cpu_bb_repair_only_deselects() {
-        let p = CpuBbProblem::new(table1_window(), 100, 100_000.0);
+        let p = cpu_bb_table1();
         let before = Chromosome::from_bits(&[true; 5]);
         let mut after = before.clone();
         p.repair(&mut after);
@@ -896,7 +723,7 @@ mod tests {
 
     #[test]
     fn cpu_bb_repair_keeps_feasible_untouched() {
-        let p = CpuBbProblem::new(table1_window(), 100, 100_000.0);
+        let p = cpu_bb_table1();
         let mut s = Chromosome::from_bits(&[true, false, false, true, false]);
         let before = s.clone();
         p.repair(&mut s);
@@ -905,9 +732,9 @@ mod tests {
 
     #[test]
     fn normalizers_default_to_available() {
-        let p = CpuBbProblem::new(table1_window(), 100, 100_000.0);
+        let p = cpu_bb_table1();
         assert_eq!(p.normalizers().as_slice(), &[100.0, 100_000.0]);
-        let p = p.with_normalizers(200.0, 400_000.0);
+        let p = p.with_normalizers(&[200.0, 400_000.0]);
         assert_eq!(p.normalizers().as_slice(), &[200.0, 400_000.0]);
     }
 
@@ -919,11 +746,20 @@ mod tests {
         ]
     }
 
+    /// The §5 preset with the historical repair rule (drop whatever the
+    /// cyclic order reaches first).
+    fn ssd_problem(nodes_128: u32, nodes_256: u32, bb_gb: f64) -> KnapsackMooProblem {
+        KnapsackMooProblem::new(
+            ssd_window(),
+            ResourceModel::cpu_bb_ssd(nodes_128, nodes_256, bb_gb),
+        )
+        .with_repair_style(RepairStyle::DropUnconditionally)
+    }
+
     #[test]
     fn ssd_waste_uses_greedy_assignment() {
         // 4 x 128-GB nodes, 4 x 256-GB nodes.
-        let avail = Available::with_ssd(4, 4, 1_000.0);
-        let p = CpuBbSsdProblem::new(ssd_window(), avail);
+        let p = ssd_problem(4, 4, 1_000.0);
         let all = Chromosome::from_bits(&[true, true, true]);
         assert!(p.is_feasible(&all));
         let o = p.evaluate(&all);
@@ -939,8 +775,7 @@ mod tests {
 
     #[test]
     fn ssd_infeasible_when_256_pool_exhausted() {
-        let avail = Available::with_ssd(6, 2, 1_000.0);
-        let p = CpuBbSsdProblem::new(ssd_window(), avail);
+        let p = ssd_problem(6, 2, 1_000.0);
         // The 200-GB/node job needs 4 nodes from a 2-node 256 pool.
         let big = Chromosome::from_bits(&[true, false, false]);
         assert!(!p.is_feasible(&big));
@@ -953,8 +788,7 @@ mod tests {
     #[test]
     fn ssd_overflow_to_256_increases_waste() {
         // Only 1 free 128-GB node: one flexible slot overflows to 256.
-        let avail = Available::with_ssd(1, 7, 1_000.0);
-        let p = CpuBbSsdProblem::new(ssd_window(), avail);
+        let p = ssd_problem(1, 7, 1_000.0);
         let small = Chromosome::from_bits(&[false, true, false]);
         let o = p.evaluate(&small);
         // One slot on 128 (waste 64), one on 256 (waste 192).
@@ -962,56 +796,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn ssd_pools_must_sum() {
-        let bad = Available { nodes: 10, bb_gb: 0.0, nodes_128: 4, nodes_256: 4 };
-        let _ = CpuBbSsdProblem::new(vec![], bad);
+        // The node pool is derived from the two SSD flavours, so it always
+        // equals their sum and the per-node table covers every node.
+        let p = ssd_problem(4, 3, 1_000.0);
+        assert_eq!(p.model().avail_nodes(), 7);
+        assert_eq!(p.num_objectives(), 4);
+        assert_eq!(p.normalizers()[0], 7.0);
     }
 
     // ---- generic-path tests -------------------------------------------
-
-    /// Every chromosome over the Table-1 window must evaluate, feasibility-
-    /// check, and repair identically through the wrapper and the generic
-    /// problem (the wrapper *is* the generic problem, but this pins the
-    /// preset wiring).
-    #[test]
-    fn generic_cpu_bb_is_bit_identical_to_wrapper() {
-        let wrapper = CpuBbProblem::new(table1_window(), 100, 100_000.0);
-        let generic =
-            KnapsackMooProblem::new(table1_window(), ResourceModel::cpu_bb(100, 100_000.0));
-        assert_eq!(generic.num_objectives(), 2);
-        for mask in 0u64..32 {
-            let c = Chromosome::from_mask(mask, 5);
-            assert_eq!(wrapper.evaluate(&c), generic.evaluate(&c));
-            assert_eq!(wrapper.is_feasible(&c), generic.is_feasible(&c));
-            let mut a = c.clone();
-            let mut b = c.clone();
-            wrapper.repair(&mut a);
-            generic.repair(&mut b);
-            assert_eq!(a, b, "repair diverged on mask {mask:#b}");
-        }
-        assert_eq!(wrapper.normalizers(), generic.normalizers());
-    }
-
-    #[test]
-    fn generic_ssd_preset_matches_wrapper_with_drop_all_repair() {
-        let avail = Available::with_ssd(4, 4, 1_000.0);
-        let wrapper = CpuBbSsdProblem::new(ssd_window(), avail);
-        let generic =
-            KnapsackMooProblem::new(ssd_window(), ResourceModel::cpu_bb_ssd(4, 4, 1_000.0))
-                .with_repair_style(RepairStyle::DropUnconditionally);
-        assert_eq!(generic.num_objectives(), 4);
-        for mask in 0u64..8 {
-            let c = Chromosome::from_mask(mask, 3);
-            assert_eq!(wrapper.evaluate(&c), generic.evaluate(&c));
-            assert_eq!(wrapper.is_feasible(&c), generic.is_feasible(&c));
-            let mut a = c.clone();
-            let mut b = c.clone();
-            wrapper.repair(&mut a);
-            generic.repair(&mut b);
-            assert_eq!(a, b, "repair diverged on mask {mask:#b}");
-        }
-    }
 
     #[test]
     fn gated_repair_preserves_innocent_genes_on_ssd_problem() {

@@ -35,8 +35,9 @@
 //!   mirror's already-sorted releases (no sort, no allocation); only the
 //!   reservation carvings of the previous pass are discarded;
 //! * **memoized pass replay** — an invocation that left the ledger
-//!   untouched (a pure arrival) re-publishes the previous pass's
-//!   reservations and advances the profile's origin in place
+//!   untouched (a pure arrival) and whose scanned candidate prefix
+//!   matches the previous pass's element for element re-publishes that
+//!   pass's reservations and advances the profile's origin in place
 //!   ([`AvailabilityProfile::advance_origin`]) instead of refolding and
 //!   re-querying every candidate, bit-identically (see the fast path in
 //!   [`ConservativeBackfill`]'s pass);
@@ -125,7 +126,6 @@ pub struct BackfillCtx<'e, 'o> {
     pub(crate) waiting: &'e [usize],
     pub(crate) blocked_head: Option<usize>,
     pub(crate) max_scan: usize,
-    pub(crate) stable_prefix: usize,
     pub(crate) core: &'e mut crate::service::CoreState<'o>,
 }
 
@@ -151,17 +151,6 @@ impl<'e> BackfillCtx<'e, '_> {
     /// Maximum candidates the strategy may examine.
     pub fn max_scan(&self) -> usize {
         self.max_scan
-    }
-
-    /// Number of leading [`BackfillCtx::waiting`] entries certified
-    /// unchanged — same jobs, same order — since the previous
-    /// invocation's candidate list. `0` whenever the engine cannot prove
-    /// the witness cheaply (window scope, jobs started this invocation,
-    /// dependency filtering in play, a restore); strategies must then
-    /// fall back to comparing. Conservative backfilling uses this for an
-    /// O(1) replay-prefix check instead of an O(k) elementwise compare.
-    pub fn stable_prefix(&self) -> usize {
-        self.stable_prefix
     }
 
     /// Whether job `idx` already started in this invocation.
@@ -371,12 +360,6 @@ pub struct ConservativeBackfill {
     /// ledger change or queue reordering.
     cache_ordered: Vec<usize>,
     cache_outcome: Vec<f64>,
-    /// Whether the memo was recorded by a pass with no blocked head —
-    /// i.e. `cache_ordered` is literally a prefix of that pass's waiting
-    /// list, with no reservation head prepended. Precondition for the
-    /// O(1) stable-prefix replay witness in
-    /// [`ConservativeBackfill::replay_valid`].
-    cache_head_clean: bool,
     /// Minimum finite entry of `cache_outcome` (`+inf` when none):
     /// maintained on record so the "every memoized reservation still
     /// lies strictly in the future" replay condition is one comparison
@@ -417,35 +400,13 @@ impl ConservativeBackfill {
     /// future (a start time that has come due must re-evaluate against
     /// the live pool instead). The future check is one comparison
     /// against the maintained [`ConservativeBackfill::cache_min_outcome`];
-    /// the prefix check is O(1) whenever the engine's kinetic
-    /// stable-prefix witness ([`BackfillCtx::stable_prefix`]) covers the
-    /// memo, falling back to the elementwise compare otherwise.
+    /// the prefix check compares the memoized prefix elementwise.
     fn replay_valid(&self, ctx: &BackfillCtx<'_, '_>) -> bool {
         if self.cache_ordered.is_empty()
             || self.cache_ordered.len() > self.ordered.len().min(ctx.max_scan())
             || self.cache_min_outcome <= ctx.now() + TIME_EPS
         {
             return false;
-        }
-        // O(1) prefix witness: when the memo was recorded head-clean and
-        // this pass is head-clean too, `ordered` is the waiting list in
-        // both passes, and the queue's kinetic stable prefix certifies
-        // the first `stable_prefix` waiting entries unchanged (the
-        // engine only reports a non-zero witness when waiting == queue:
-        // queue scope, nothing started this invocation, no dependency
-        // filtering — and a pure-arrival ledger, which the caller
-        // already established, pins the filter predicates themselves).
-        // A memo no longer than the witness therefore matches without
-        // being read.
-        if self.cache_head_clean
-            && ctx.blocked_head().is_none()
-            && self.cache_ordered.len() <= ctx.stable_prefix()
-        {
-            debug_assert!(
-                self.ordered[..self.cache_ordered.len()] == self.cache_ordered[..],
-                "stable-prefix witness disagrees with the elementwise prefix compare"
-            );
-            return true;
         }
         self.ordered[..self.cache_ordered.len()] == self.cache_ordered[..]
     }
@@ -612,7 +573,6 @@ impl BackfillStrategy for ConservativeBackfill {
             self.cache_ordered.push(idx);
             self.cache_outcome.push(t);
         }
-        self.cache_head_clean = ctx.blocked_head().is_none();
     }
 }
 

@@ -229,6 +229,11 @@ impl<'a> BinReader<'a> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
+            // The 10th byte carries only bit 63: anything above 1 would
+            // lose its high bits to the shift (or continue past 64 bits).
+            if shift == 63 && b > 1 {
+                break;
+            }
             v |= u64::from(b & 0x7f) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
@@ -962,6 +967,8 @@ mod tests {
             &b"\x08\x05"[..],                 // dangling string reference
             &b"\x7f"[..],                     // unknown tag
             &b"\x05\x01\x02"[..],             // truncated float
+            &b"\x03\x80\x80\x80\x80\x80\x80\x80\x80\x80\x7e"[..], // varint past 64 bits
+            &b"\x03\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"[..], // varint bit 64 set
             &b""[..],                         // empty
         ] {
             assert!(decode_value(bytes).is_err());
@@ -993,6 +1000,16 @@ mod tests {
             Err(SchedError::CorruptSnapshot(_))
         ));
         assert!(from_bytes::<Vec<u64>>(b"not json").is_err());
+
+        let mut overflow = BINARY_MAGIC.to_vec();
+        overflow.push(BINARY_VERSION);
+        overflow.push(TAG_U64);
+        overflow.extend_from_slice(&[0x80; 9]);
+        overflow.push(0x7e);
+        assert!(matches!(
+            from_bytes::<u64>(&overflow),
+            Err(SchedError::CorruptSnapshot(e)) if e.contains("varint overflows 64 bits")
+        ));
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! * [`service`] — [`SchedCore`], [`Decision`], the six-phase invocation;
 //! * [`config`] — [`SchedConfig`], window sizing, backfill selection;
 //! * [`queue`] — the waiting queue under the base scheduler's order
-//!   (incrementally sorted for FCFS, re-scored per invocation for WFP);
+//!   (incrementally sorted for FCFS; for WFP, scored once per job and
+//!   sorted at every invocation);
 //! * [`alloc`] — the allocation ledger: pool accounting with conservation
 //!   checks, the incrementally maintained release order, and a
 //!   generation-numbered start/finish delta log;
@@ -63,7 +64,6 @@ pub mod durability;
 pub mod error;
 pub mod idhash;
 pub mod jobset;
-pub mod kinetic;
 pub mod legacy_profile;
 pub mod observer;
 pub mod queue;

@@ -1,4 +1,4 @@
-//! The waiting queue: base-scheduler priority order, kept incrementally.
+//! The waiting queue: base-scheduler priority order.
 //!
 //! [`QueueManager`] owns the queue of waiting job indices and the ordering
 //! discipline of the configured [`BaseScheduler`]:
@@ -9,14 +9,15 @@
 //!   happens. This replaces the monolithic loop's full
 //!   `O(n log n)`-per-invocation sort with `O(log n)` per arrival.
 //! * **WFP** scores are time-dependent (`(wait/walltime)³ × nodes` grows
-//!   every second), so the queue *must* be re-scored and re-sorted at
-//!   every scheduling invocation. Each job's score is computed **once**
-//!   into a reused buffer and the sort compares cached values — the
-//!   comparator chain is unchanged, so the permutation is identical to
-//!   the recompute-in-comparator sort, without the `O(n log n)` redundant
-//!   score evaluations per invocation.
+//!   every second), so the queue is re-scored and re-sorted at every
+//!   scheduling invocation, as the paper's base scheduler does (§2.1).
+//!   Each job's score is computed **once** into a reused buffer and the
+//!   sort compares cached values — the comparator chain is unchanged, so
+//!   the permutation is identical to the recompute-in-comparator sort
+//!   ([`BaseScheduler::order`]), without the `O(n log n)` redundant score
+//!   evaluations per invocation.
 //!
-//! Both disciplines produce byte-identical orderings to the old full
+//! Both disciplines produce byte-identical orderings to the full
 //! re-sort: FCFS because `(submit, id)` is the same strict total order the
 //! sort used, WFP because scores are deterministic per `(job, now)` and
 //! the (stable) sort applies the same comparator to the same values.
@@ -29,8 +30,8 @@
 
 use crate::base_sched::BaseScheduler;
 use crate::jobset::JobSet;
-use crate::kinetic::KineticIndex;
 use bbsched_workloads::Job;
+use std::cmp::Ordering;
 
 /// The engine's waiting queue, ordered by base-scheduler priority.
 #[derive(Clone, Debug)]
@@ -38,17 +39,15 @@ pub struct QueueManager {
     base: BaseScheduler,
     /// Indices into the engine's job table, highest priority first.
     queue: Vec<usize>,
-    /// Kinetic sorted-order index (WFP only): certificates on adjacent
-    /// pairs turn the per-invocation re-sort into crossing-driven
-    /// incremental maintenance. Transient — never serialized; rebuilt
-    /// from `queue` after restore (see `crate::kinetic`).
-    kinetic: KineticIndex,
+    /// WFP sort scratch: `(score, submit, id, idx)` per queued job,
+    /// reused across invocations. Transient — never serialized.
+    scored: Vec<(f64, f64, u64, usize)>,
 }
 
 impl QueueManager {
     /// An empty queue under the given base scheduler.
     pub fn new(base: BaseScheduler) -> Self {
-        Self { base, queue: Vec::new(), kinetic: KineticIndex::new() }
+        Self { base, queue: Vec::new(), scored: Vec::new() }
     }
 
     /// The ordering discipline.
@@ -84,32 +83,18 @@ impl QueueManager {
                     let (qs, qid) = key(q);
                     qs.total_cmp(&submit).then(qid.cmp(&id)).is_lt()
                 });
-                if pos < self.queue.len() {
-                    // A mid-queue insert disturbs the sealed order; a
-                    // tail append does not (see `stable_prefix`).
-                    self.kinetic.touch(pos);
-                }
                 self.queue.insert(pos, idx);
             }
-            // WFP arrivals append; `order` folds them into the kinetic
-            // index at the next invocation (where, with zero wait, they
-            // land at the tail anyway under live event-driven use).
             BaseScheduler::Wfp => self.queue.push(idx),
         }
     }
 
-    /// Establishes priority order for a scheduling invocation at `now`
-    /// and seals the invocation's [`QueueManager::stable_prefix`].
+    /// Establishes priority order for a scheduling invocation at `now`.
     ///
-    /// FCFS is already sorted (checked in debug builds). WFP delegates
-    /// to the kinetic index: only adjacent pairs whose score-crossing
-    /// certificates expired by `now` are re-checked (and bubbled if they
-    /// actually inverted), and arrivals are binary-inserted — amortised
-    /// `O((k + 1)·log Q)` against the old `O(Q)` re-score plus
-    /// `O(Q log Q)` sort, with the quiescent no-crossing case a single
-    /// heap peek. The permutation is byte-identical to the cached-score
-    /// stable sort (see `crate::kinetic` for the argument); debug builds
-    /// assert that against a full re-sort oracle on every invocation.
+    /// FCFS is already sorted (checked in debug builds). WFP scores every
+    /// queued job once and stable-sorts the cached scores with
+    /// [`BaseScheduler::order`]'s comparator: descending score, then
+    /// ascending `(submit, id)`.
     pub fn order(&mut self, jobs: &[Job], now: f64) {
         match self.base {
             BaseScheduler::Fcfs => {
@@ -121,74 +106,46 @@ impl QueueManager {
                     }),
                     "incremental FCFS order violated"
                 );
-                self.kinetic.seal_static(self.queue.len());
             }
             BaseScheduler::Wfp => {
-                self.kinetic.order(self.base, &mut self.queue, jobs, now);
-                #[cfg(debug_assertions)]
-                self.assert_wfp_oracle(jobs, now);
+                self.scored.clear();
+                self.scored.extend(self.queue.iter().map(|&i| {
+                    let j = &jobs[i];
+                    (self.base.score(j, now), j.submit, j.id, i)
+                }));
+                self.scored.sort_by(|a, b| {
+                    b.0.partial_cmp(&a.0)
+                        .unwrap_or(Ordering::Equal)
+                        .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+                        .then_with(|| a.2.cmp(&b.2))
+                });
+                for (slot, e) in self.queue.iter_mut().zip(&self.scored) {
+                    *slot = e.3;
+                }
             }
         }
     }
 
-    /// Number of leading queue positions that provably hold the same
-    /// jobs, in the same order, as the previous invocation's sealed
-    /// order (valid after [`QueueManager::order`]; a restore or rebuild
-    /// seals `0`). Backfill's memoized replay uses this as an O(1)
-    /// cache-prefix-unchanged witness.
-    pub fn stable_prefix(&self) -> usize {
-        self.kinetic.stable_prefix()
-    }
-
-    /// Debug oracle: the kinetic order must equal the full cached-score
-    /// stable sort, every invocation (crate::kinetic's exactness claim).
-    #[cfg(debug_assertions)]
-    fn assert_wfp_oracle(&self, jobs: &[Job], now: f64) {
-        let mut scores: Vec<(f64, f64, u64, usize)> = self
-            .queue
-            .iter()
-            .map(|&i| {
-                let j = &jobs[i];
-                (self.base.score(j, now), j.submit, j.id, i)
-            })
-            .collect();
-        scores.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        let oracle: Vec<usize> = scores.iter().map(|e| e.3).collect();
-        assert_eq!(
-            self.queue, oracle,
-            "kinetic WFP order diverged from the full re-sort oracle at now={now}"
-        );
-    }
-
     /// Removes every started job, preserving the order of the rest.
-    /// One linear pass with O(1) bitset probes; the kinetic index
-    /// repairs its positions and re-certifies the severed adjacencies
-    /// in the same pass.
+    /// One linear pass with O(1) bitset probes.
     pub fn remove_started(&mut self, started: &JobSet) {
         if !started.is_empty() {
-            self.kinetic.remove_started(&mut self.queue, started);
+            self.queue.retain(|&i| !started.contains(i));
         }
     }
 
     /// Extracts the queue's owned state: the discipline and the waiting
-    /// indices in their current order. The kinetic index is derived,
-    /// per-run scratch and is not part of the state (schema v1's
-    /// `(base, queue)` pair is unchanged).
+    /// indices in their current order. The WFP sort scratch is not part
+    /// of the state (schema v1's `(base, queue)` pair is unchanged).
     pub fn snapshot(&self) -> QueueState {
         QueueState { base: self.base, queue: self.queue.clone() }
     }
 
-    /// Rebuilds a queue from extracted state. The kinetic index starts
-    /// dirty, so the next [`QueueManager::order`] call re-establishes
-    /// any time-dependent (WFP) ordering — and rebuilds the index —
-    /// exactly as the full sort would have mid-run.
+    /// Rebuilds a queue from extracted state. The next
+    /// [`QueueManager::order`] call re-establishes any time-dependent
+    /// (WFP) ordering exactly as it would have mid-run.
     pub fn restore(state: QueueState) -> Self {
-        Self { base: state.base, queue: state.queue, kinetic: KineticIndex::new() }
+        Self { base: state.base, queue: state.queue, scored: Vec::new() }
     }
 }
 
@@ -304,17 +261,16 @@ mod tests {
             prop_assert_eq!(incremental.as_slice(), &full[..]);
         }
 
-        /// Tentpole invariant (kinetic WFP queue): the incremental order
-        /// must equal the full cached-score re-sort at **every**
-        /// invocation of a lifelike interleaving — arrival batches
-        /// (including same-instant submits), mid-queue removals (job
-        /// starts), and invocations at strictly advancing times. Job
-        /// parameters are drawn from tiny sets (`r ∈ {2, 3}` distinct
-        /// walltimes, power-of-two node counts, submits pinned to the
-        /// arrival instant) so exact score ties and bit-equal
-        /// `(submit, nodes, walltime)` classes are common — the regime
-        /// where certificate and tie-break handling could silently
-        /// diverge from the sort's stability.
+        /// The WFP queue's order must equal the full recompute-in-comparator
+        /// re-sort ([`BaseScheduler::order`]) at **every** invocation of a
+        /// lifelike interleaving — arrival batches (including same-instant
+        /// submits), mid-queue removals (job starts), and invocations at
+        /// strictly advancing times. Job parameters are drawn from tiny
+        /// sets (`r ∈ {2, 3}` distinct walltimes, power-of-two node counts,
+        /// submits pinned to the arrival instant) so exact score ties and
+        /// bit-equal `(submit, nodes, walltime)` classes are common — the
+        /// regime where the cached-score sort's tie-breaks and stability
+        /// could silently diverge from the reference.
         #[test]
         fn prop_kinetic_interleaved_equals_full_resort_every_invocation(
             r in 2usize..=3,
@@ -367,9 +323,10 @@ mod tests {
             prop_assert_eq!(q.as_slice(), &check(&q, &jobs, now)[..]);
         }
 
-        /// The cached-score WFP re-sort must be the identical permutation
-        /// to the recompute-in-comparator sort, including score ties
-        /// (equal jobs) and submit-time ties.
+        /// One WFP invocation over a freshly pushed queue: the cached-score
+        /// sort must be the identical permutation to the
+        /// recompute-in-comparator sort, including score ties (equal jobs)
+        /// and submit-time ties.
         #[test]
         fn prop_wfp_cached_scores_equal_recompute_sort(
             specs in proptest::collection::vec(

@@ -216,12 +216,6 @@ pub struct SchedCore<'o> {
     id_to_idx: HashMap<u64, usize, BuildIdHasher>,
     tracker: StarvationTracker,
     invocations: u64,
-    /// Queued jobs that declared dependencies. While zero (the common
-    /// trace shape), queue-scoped backfilling sees the queue itself as
-    /// its candidate list, which makes the kinetic stable prefix a
-    /// valid O(1) unchanged-prefix witness for the conservative
-    /// strategy's memo replay (see [`BackfillCtx::stable_prefix`]).
-    queued_with_deps: usize,
     scratch: Scratch,
 }
 
@@ -258,7 +252,6 @@ impl<'o> SchedCore<'o> {
             id_to_idx: HashMap::default(),
             tracker: StarvationTracker::new(),
             invocations: 0,
-            queued_with_deps: 0,
             scratch: Scratch::default(),
         })
     }
@@ -280,9 +273,6 @@ impl<'o> SchedCore<'o> {
         }
         self.state.jobs.push(job);
         self.state.demands.push(demand);
-        if !self.state.jobs[idx].deps.is_empty() {
-            self.queued_with_deps += 1;
-        }
         self.queue.push(idx, &self.state.jobs);
         Ok(idx)
     }
@@ -429,27 +419,11 @@ impl<'o> SchedCore<'o> {
             }
         }
         self.state.backfill_credit = 0;
-        // O(1) unchanged-prefix witness for the strategy's memo replay:
-        // under queue scope with nothing started this invocation and no
-        // dependency filtering anywhere in the queue, `waiting` *is* the
-        // queue slice, so the kinetic index's sealed stable prefix
-        // certifies that many leading candidates unchanged since the
-        // previous invocation. Report `0` (prove nothing) otherwise —
-        // strategies fall back to comparing.
-        let stable_prefix = if matches!(self.cfg.backfill, BackfillScope::Queue)
-            && self.state.started.is_empty()
-            && self.queued_with_deps == 0
-        {
-            self.queue.stable_prefix()
-        } else {
-            0
-        };
         let mut ctx = BackfillCtx {
             now,
             waiting: &scratch.waiting,
             blocked_head,
             max_scan: self.cfg.max_backfill_scan,
-            stable_prefix,
             core: &mut self.state,
         };
         self.backfill.pass(&mut ctx);
@@ -479,13 +453,6 @@ impl<'o> SchedCore<'o> {
             self.tracker.observe(&scratch.window_ids, &scratch.started_ids);
             for i in self.state.started.iter() {
                 self.tracker.forget(self.state.jobs[i].id);
-            }
-        }
-        if self.queued_with_deps > 0 {
-            for i in self.state.started.iter() {
-                if !self.state.jobs[i].deps.is_empty() {
-                    self.queued_with_deps -= 1;
-                }
             }
         }
         self.queue.remove_started(&self.state.started);
@@ -651,8 +618,6 @@ impl<'o> SchedCore<'o> {
                 policy.restore_state(state).map_err(SchedError::CorruptSnapshot)?;
             }
         }
-        let queued_with_deps =
-            snapshot.queue.queue.iter().filter(|&&i| !snapshot.jobs[i].deps.is_empty()).count();
         Ok(Self {
             state: CoreState {
                 jobs: snapshot.jobs,
@@ -672,7 +637,6 @@ impl<'o> SchedCore<'o> {
             id_to_idx,
             tracker: StarvationTracker::from_entries(&snapshot.starvation),
             invocations: snapshot.invocations,
-            queued_with_deps,
             scratch: Scratch::default(),
         })
     }

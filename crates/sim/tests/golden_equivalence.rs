@@ -577,12 +577,12 @@ fn golden_incremental_conservative_equals_rebuild_per_pass() {
 
 /// WFP memo-replay vs always-refold, mid-scale. The incremental
 /// conservative strategy replays a pure-arrival pass's memoized
-/// reservations verbatim whenever the kinetic WFP queue had no score
-/// crossings in the replayed prefix (stable-prefix witness); the frozen
+/// reservations verbatim whenever the elementwise compare finds the
+/// memoized candidate prefix unchanged by the WFP re-sort; the frozen
 /// rebuild-per-pass strategy refolds and re-queries every pass and
 /// never memoizes — the literal "always refold" discipline. A
 /// fifth-scale Theta at 700 jobs keeps queue depths high enough that
-/// replayed passes, crossing-driven bails, and fresh-tail queries all
+/// replayed passes, reorder-driven bails, and fresh-tail queries all
 /// occur under WFP, while the rebuild oracle stays affordable in debug
 /// test runs. The `SimResult`s must be byte-identical.
 #[test]

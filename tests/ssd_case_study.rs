@@ -112,47 +112,3 @@ fn ssd_summaries_populate_ssd_metrics() {
     assert!(m.ssd_wasted() >= 0.0);
     assert!(m.ssd_usage() + m.ssd_wasted() <= 1.0 + 1e-9, "used + wasted <= capacity");
 }
-
-/// Golden equivalence for the §5 four-objective problem: at identical GA
-/// seeds, the deprecated `CpuBbSsdProblem` wrapper (the pre-refactor SSD
-/// entry point, including its unconditional-drop repair) and the generic
-/// `KnapsackMooProblem` over `ResourceModel::cpu_bb_ssd` produce
-/// byte-identical fronts, and the 4x decision rule starts the same jobs.
-#[test]
-#[allow(deprecated)]
-fn generic_path_reproduces_ssd_wrapper_front_bit_for_bit() {
-    use bbsched::core::decision::{choose_preferred, DecisionRule};
-    use bbsched::core::problem::{Available, JobDemand, MooProblem};
-    use bbsched::core::resource::ResourceModel;
-    use bbsched::core::{CpuBbSsdProblem, GaConfig, KnapsackMooProblem, MooGa, RepairStyle};
-
-    let window = vec![
-        JobDemand::cpu_bb_ssd(6, 8_000.0, 200.0),
-        JobDemand::cpu_bb_ssd(4, 0.0, 64.0),
-        JobDemand::cpu_bb_ssd(8, 12_000.0, 100.0),
-        JobDemand::cpu_bb_ssd(2, 0.0, 250.0),
-        JobDemand::cpu_bb_ssd(4, 2_000.0, 0.0),
-        JobDemand::cpu_bb_ssd(3, 500.0, 128.0),
-    ];
-    for seed in [0u64, 55, 0xbb5c_11ed] {
-        let cfg = GaConfig { generations: 500, seed, ..GaConfig::default() };
-        let wrapper = CpuBbSsdProblem::new(window.clone(), Available::with_ssd(8, 8, 20_000.0));
-        let generic =
-            KnapsackMooProblem::new(window.clone(), ResourceModel::cpu_bb_ssd(8, 8, 20_000.0))
-                .with_repair_style(RepairStyle::DropUnconditionally);
-        let fw = MooGa::new(cfg.clone()).solve(&wrapper);
-        let fg = MooGa::new(cfg).solve(&generic);
-        assert_eq!(fw.len(), fg.len(), "front sizes diverged at seed {seed:#x}");
-        for (a, b) in fw.solutions().iter().zip(fg.solutions()) {
-            assert_eq!(a.chromosome, b.chromosome, "selection diverged at seed {seed:#x}");
-            assert_eq!(a.objectives.as_slice(), b.objectives.as_slice());
-        }
-        let cw =
-            choose_preferred(&fw, wrapper.normalizers().as_slice(), DecisionRule::multi_resource())
-                .expect("non-empty front");
-        let cg =
-            choose_preferred(&fg, generic.normalizers().as_slice(), DecisionRule::multi_resource())
-                .expect("non-empty front");
-        assert_eq!(cw.chromosome, cg.chromosome, "decision diverged at seed {seed:#x}");
-    }
-}

@@ -70,36 +70,6 @@ fn bbsched_picks_solution_3() {
     assert_eq!((nodes, bb), (80, 90_000.0));
 }
 
-/// Golden equivalence: at identical GA seeds, the deprecated `CpuBbProblem`
-/// wrapper (the pre-refactor §3.2.1 entry point) and the generic
-/// `KnapsackMooProblem` drive the solver to byte-identical fronts —
-/// same selections in the same order, same objective vectors — and the
-/// decision rule picks the same start set from both.
-#[test]
-#[allow(deprecated)]
-fn generic_path_reproduces_wrapper_front_bit_for_bit() {
-    use bbsched::core::decision::{choose_preferred, DecisionRule};
-    use bbsched::core::{CpuBbProblem, GaConfig, MooGa};
-    for seed in [0u64, 4, 0xbb5c_11ed, 0xdead_beef] {
-        let cfg = GaConfig { generations: 500, seed, ..GaConfig::default() };
-        let wrapper = CpuBbProblem::new(table1_window(), 100, 100_000.0);
-        let generic =
-            KnapsackMooProblem::new(table1_window(), ResourceModel::cpu_bb(100, 100_000.0));
-        let fw = MooGa::new(cfg.clone()).solve(&wrapper);
-        let fg = MooGa::new(cfg).solve(&generic);
-        assert_eq!(fw.len(), fg.len(), "front sizes diverged at seed {seed:#x}");
-        for (a, b) in fw.solutions().iter().zip(fg.solutions()) {
-            assert_eq!(a.chromosome, b.chromosome, "selection diverged at seed {seed:#x}");
-            assert_eq!(a.objectives.as_slice(), b.objectives.as_slice());
-        }
-        let cw = choose_preferred(&fw, wrapper.normalizers().as_slice(), DecisionRule::cpu_bb())
-            .expect("non-empty front");
-        let cg = choose_preferred(&fg, generic.normalizers().as_slice(), DecisionRule::cpu_bb())
-            .expect("non-empty front");
-        assert_eq!(cw.chromosome, cg.chromosome, "decision diverged at seed {seed:#x}");
-    }
-}
-
 /// Bit-exact golden fronts, captured from the solver immediately before
 /// the incremental-aggregate kernel landed. A fingerprint encodes every
 /// selection bit and the IEEE-754 bits of every objective of the sorted
