@@ -260,7 +260,8 @@ fn main() {
     // --- profile_ops: availability-profile query/reserve micro-benches ---
     // Isolates the hierarchical profile index from the simulator: build an
     // S-segment profile (S-1 staggered releases on a large machine), then
-    // time `earliest_start` probes and `reserve` carvings directly. Runs
+    // time `earliest_start` probes and `reserve_earliest` bookings
+    // (query, then carve at the found ranks) directly. Runs
     // in both modes at both sizes — the ops are microseconds either way,
     // so short mode pays nothing for keeping the CI guard's coverage.
     for s in [256usize, 4096] {
@@ -300,13 +301,12 @@ fn main() {
             }
             hits
         });
+        // Query-then-carve in one call, as the conservative planner books
+        // a candidate: the carve reuses the ranks the query found.
         push(&format!("profile_ops/reserve_s{s}"), samples, 0.01, &mut || {
             let mut p = base.clone();
             for (d, from, dur) in &probes {
-                let t = p.earliest_start(d, *from, *dur);
-                if t.is_finite() {
-                    p.reserve(d, t, *dur);
-                }
+                p.reserve_earliest(d, *from, *dur);
             }
             p.segments()
         });

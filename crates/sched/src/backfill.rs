@@ -22,7 +22,7 @@
 //!
 //! This module also owns the EASY reservation math
 //! ([`shadow_and_leftover`]) and the piecewise-constant
-//! [`AvailabilityProfile`] behind conservative backfilling. Four layers
+//! [`AvailabilityProfile`] behind conservative backfilling. Five layers
 //! keep the conservative path off the quadratic cliff at large trace
 //! sizes (DESIGN.md §10):
 //!
@@ -51,7 +51,16 @@
 //!   (`crate::tree`) with per-resource minimum subtree aggregates to
 //!   locate the first blocking segment in O(log S). The linear walk
 //!   (suffix-minima skyline accelerated on flavoured machines) remains
-//!   the debug-build oracle for both.
+//!   the debug-build oracle for both;
+//! * a **rank-carrying candidate step** — each conservative candidate is
+//!   one query and one carve at the same slot: the dominance memo hands
+//!   the query the rank of the boundary it starts from, the column scan
+//!   returns its answer's rank and the insertion rank of the
+//!   reservation's end ([`AvailabilityProfile::reserve_earliest`]'s
+//!   core), and the carve splits and subtracts at those ranks. So a
+//!   column-stored candidate searches `times` nowhere; the memo keeps
+//!   its ranks current by shifting them past each split-in boundary
+//!   (debug builds check every carried rank against a binary search).
 //!
 //! The EASY shadow walk ([`shadow_and_leftover`]) deliberately does *not*
 //! use the indexes: it is a single early-exiting pass over the release
@@ -83,6 +92,22 @@ fn scan_fail_mask8(c0: &[f64], c1: &[f64], n0: f64, n1: f64, i: usize) -> u32 {
         m |= u32::from((a[k] < n0) | (b[k] + FIT_EPS < n1)) << k;
     }
     m
+}
+
+/// Insertion rank of `end` in the ascending `times`, counted branchlessly
+/// over the at most eight boundaries from `s`: valid when `s` is at or
+/// below that rank and the rank is within eight of `s` (or `times` ends
+/// sooner) — the column scan's position when it accepts a candidate.
+#[inline]
+fn end_rank(times: &[f64], end: f64, s: usize) -> usize {
+    let Some(w) = times.get(s..s + 8) else {
+        return s + times[s..].iter().map(|&t| usize::from(t < end)).sum::<usize>();
+    };
+    let mut c = 0u32;
+    for &t in w {
+        c += u32::from(t < end);
+    }
+    s + c as usize
 }
 
 /// EASY reservation math: the *shadow time* at which `head` could start if
@@ -523,12 +548,14 @@ impl BackfillStrategy for ConservativeBackfill {
         // bit-exactness argument). On a replayed prefix, seed it with
         // every memoized outcome — finite or `+inf`; skips are `NaN` —
         // so the fresh tail candidates start with the same bounds a full
-        // scan would have accumulated by then.
-        self.memo.entries.clear();
+        // scan would have accumulated by then; the one place a rank is
+        // searched for.
+        self.memo.clear();
         if begin > 0 {
             for (&idx, &t) in self.cache_ordered.iter().zip(&self.cache_outcome) {
                 if !t.is_nan() {
-                    self.memo.note(&ctx.demand(idx), ctx.walltime(idx).max(1.0), t);
+                    let rank = self.profile.boundary_rank(t);
+                    self.memo.note(&ctx.demand(idx), ctx.walltime(idx).max(1.0), t, rank);
                 }
             }
         }
@@ -544,18 +571,31 @@ impl BackfillStrategy for ConservativeBackfill {
             }
             let d = ctx.demand(idx);
             let walltime = ctx.walltime(idx).max(1.0);
-            let from = self.memo.bound(&d, walltime, ctx.now());
-            let t = if from.is_finite() {
-                self.profile.earliest_start(&d, from, walltime)
+            // The candidate step: the bound carries the rank of its
+            // boundary into the query, and the query hands the slot's
+            // ranks to the carve, so no step searches `times`. A carve
+            // that splits in the reservation's end moves the memo's ranks
+            // beyond it.
+            let (from, rank) = self.memo.bound(&d, walltime, ctx.now());
+            let (t, lo, hi) = if from.is_finite() {
+                self.profile.earliest_slot(&d, from, rank + 1, walltime)
             } else {
-                from
+                (from, rank, rank)
             };
+            if t.is_finite() {
+                debug_assert_eq!(self.profile.times()[lo], t, "a pass answer is a boundary");
+                if self.profile.carve(&d, lo, hi, t + walltime) {
+                    self.memo.shift_ranks(hi);
+                }
+                #[cfg(debug_assertions)]
+                self.memo.assert_ranks(self.profile.times());
+            }
             if t <= ctx.now() + TIME_EPS && ctx.pool().fits(&d) {
+                // Started now; the carve above consumed from the
+                // profile's "now" segments too. The start bumps the
+                // ledger generation, so this pass's memo can never
+                // replay — record the position as a skip.
                 ctx.start(idx, true);
-                // Consume from the profile's "now" segments too. The
-                // start bumps the ledger generation, so this pass's memo
-                // can never replay — record the position as a skip.
-                self.profile.reserve(&d, t, walltime);
                 self.cache_ordered.push(idx);
                 self.cache_outcome.push(f64::NAN);
                 continue;
@@ -563,10 +603,9 @@ impl BackfillStrategy for ConservativeBackfill {
             // An answer equal to its bound is redundant (the entry that
             // gave the bound covers it); one at `now` bounds nothing.
             if t > from.max(ctx.now() + TIME_EPS) {
-                self.memo.note(&d, walltime, t);
+                self.memo.note(&d, walltime, t, lo);
             }
             if t.is_finite() {
-                self.profile.reserve(&d, t, walltime);
                 ctx.reserve(idx, t);
                 self.cache_min_outcome = self.cache_min_outcome.min(t);
             }
@@ -626,12 +665,22 @@ impl BackfillStrategy for ConservativeBackfill {
 ///   such entries collect. Redundant entries outside that window only
 ///   lengthen scans, never change a bound.
 ///
+/// Each entry also carries the profile rank of its answer — the index of
+/// boundary `t`, or the segment count for `t = +inf` — so a bounded
+/// query starts its walk at that rank without searching `times`. The
+/// ranks sit in their own dense `u32` column beside the entries: a carve
+/// that splits in a boundary moves every rank at or beyond it up by one
+/// ([`DominanceMemo::shift_ranks`]), and since ranks ascend with the
+/// answers those ranks are a suffix of the column.
+///
 /// The entries belong to [`ConservativeBackfill`] and are cleared, not
 /// freed, per pass.
 #[derive(Clone, Debug, Default)]
 struct DominanceMemo {
     /// Noted answers, ascending in `t`.
     entries: Vec<MemoEntry>,
+    /// `ranks[j]` is the profile rank of `entries[j].t`.
+    ranks: Vec<u32>,
 }
 
 /// One noted answer: a plain demand over `dur` seconds answered `t`.
@@ -664,19 +713,27 @@ impl DominanceMemo {
         d.ssd_gb_per_node == 0.0 && d.extra.iter().all(|&x| x == 0.0)
     }
 
+    /// Forgets every noted answer (the start of a pass).
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.ranks.clear();
+    }
+
     /// Records the answer `t` (finite, or `+inf` for "never fits this
-    /// pass") for a reservation of `d` over `dur` seconds. Every finite
-    /// `t` noted must be a boundary of the pass's profile later than
-    /// the pass's `now`.
-    fn note(&mut self, d: &JobDemand, dur: f64, t: f64) {
+    /// pass") for a reservation of `d` over `dur` seconds, at profile
+    /// rank `rank`. Every finite `t` noted must be a boundary of the
+    /// pass's profile later than the pass's `now`.
+    fn note(&mut self, d: &JobDemand, dur: f64, t: f64, rank: usize) {
         if !Self::plain(d) {
             return;
         }
         let new = MemoEntry { nodes: f64::from(d.nodes), bb_gb: d.bb_gb, dur, t };
+        let rank = u32::try_from(rank).expect("profile rank fits in u32");
         let len = self.entries.len();
         // Room for the insertion; the slot is overwritten below.
         self.entries.push(new);
-        let e = &mut self.entries[..];
+        self.ranks.push(rank);
+        let (e, rk) = (&mut self.entries[..], &mut self.ranks[..]);
         // The new entry goes after every entry answered no later.
         let mut at = len;
         while at > 0 && e[at - 1].t > t {
@@ -689,20 +746,26 @@ impl DominanceMemo {
         for r in lo..at {
             let x = e[r];
             e[w] = x;
+            rk[w] = rk[r];
             w += usize::from(!new.within(&x));
         }
         e.copy_within(at..len, w + 1);
+        rk.copy_within(at..len, w + 1);
         e[w] = new;
+        rk[w] = rank;
         self.entries.truncate(w + 1 + len - at);
+        self.ranks.truncate(w + 1 + len - at);
     }
 
-    /// The latest noted answer whose entry `d` over `dur` dominates, or
-    /// `now` when none does: the time the profile walk may start from.
-    /// `+inf` means the query is `+inf` without walking.
-    fn bound(&self, d: &JobDemand, dur: f64, now: f64) -> f64 {
+    /// The latest noted answer whose entry `d` over `dur` dominates, and
+    /// its profile rank, or `(now, 0)` when none does: the time (and the
+    /// rank of the boundary) the profile walk may start from. `+inf`
+    /// means the query is `+inf` without walking.
+    fn bound(&self, d: &JobDemand, dur: f64, now: f64) -> (f64, usize) {
         const W: usize = 8;
         let q = MemoEntry { nodes: f64::from(d.nodes), bb_gb: d.bb_gb, dur, t: now };
         let e = &self.entries[..];
+        let hit = |j: usize| (e[j].t, self.ranks[j] as usize);
         let mut i = e.len();
         // Whole chunks as a branchless mask, so one branch decides eight
         // entries; the latest hit is the mask's highest bit.
@@ -713,11 +776,38 @@ impl DominanceMemo {
                 mask |= u32::from(x.within(&q)) << k;
             }
             if mask != 0 {
-                return chunk[(31 - mask.leading_zeros()) as usize].t;
+                return hit(i - W + (31 - mask.leading_zeros()) as usize);
             }
             i -= W;
         }
-        e[..i].iter().rev().find(|x| x.within(&q)).map_or(now, |x| x.t)
+        e[..i].iter().rposition(|x| x.within(&q)).map_or((now, 0), hit)
+    }
+
+    /// A carve split a boundary in at rank `at`: every noted rank at or
+    /// beyond it moves up by one. Ranks ascend with the answers, so those
+    /// ranks are a suffix — usually a short one, since a reservation's
+    /// end lies past most answers noted before it — walked from the back.
+    fn shift_ranks(&mut self, at: usize) {
+        for r in self.ranks.iter_mut().rev() {
+            if (*r as usize) < at {
+                break;
+            }
+            *r += 1;
+        }
+    }
+
+    /// Debug-build oracle: every carried rank is the insertion rank of
+    /// its answer in `times`.
+    #[cfg(debug_assertions)]
+    fn assert_ranks(&self, times: &[f64]) {
+        for (e, &r) in self.entries.iter().zip(&self.ranks) {
+            assert_eq!(
+                r as usize,
+                times.partition_point(|x| *x < e.t),
+                "memo rank of answer {} diverged from its boundary",
+                e.t
+            );
+        }
     }
 }
 
@@ -989,7 +1079,7 @@ impl ReleaseMirror {
 ///   `earliest_start` in a single traversal that visits every node at
 ///   most once and `fits_interval` via "first blocking segment at or
 ///   after rank i" in O(log S), maintained through reservations
-///   (`split_at` inserts, `reserve` refreshes a rank range). On pooled
+///   (`insert_boundary` inserts, `carve` refreshes a rank range). On pooled
 ///   machines the scan beats it — its subtree pruning degenerates to
 ///   near-linear visit counts with worse constants — so they never
 ///   build it (measured; see DESIGN.md §10).
@@ -1406,13 +1496,15 @@ impl AvailabilityProfile {
     /// take the linear skyline walk directly.
     pub fn earliest_start(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
         if self.columnar() {
-            let found = self.earliest_start_scan(d, from, duration);
-            debug_assert_eq!(
-                found.to_bits(),
-                self.earliest_start_linear(d, from, duration).to_bits()
-            );
-            return found;
+            return self.earliest_slot(d, from, self.next_boundary(from), duration).0;
         }
+        self.earliest_start_packed(d, from, duration)
+    }
+
+    /// [`AvailabilityProfile::earliest_start`] on a packed-state profile:
+    /// the tree's single traversal when engaged, the skyline walk below
+    /// it.
+    fn earliest_start_packed(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
         if !self.tree.is_active() {
             return self.earliest_start_linear(d, from, duration);
         }
@@ -1420,6 +1512,61 @@ impl AvailabilityProfile {
             self.tree.find_earliest(&self.machine, &self.times, &self.frees, d, from, duration);
         debug_assert_eq!(found.to_bits(), self.earliest_start_linear(d, from, duration).to_bits());
         found
+    }
+
+    /// Rank of the first boundary strictly after `from` — where a walk
+    /// from `from` starts.
+    #[inline]
+    fn next_boundary(&self, from: f64) -> usize {
+        self.times.partition_point(|t| *t <= from)
+    }
+
+    /// Insertion rank of `t`: the index of the first boundary at or after
+    /// it — `t`'s own index when `t` is a boundary, the segment count
+    /// when `t = +inf`.
+    pub(crate) fn boundary_rank(&self, t: f64) -> usize {
+        self.times.partition_point(|x| *x < t)
+    }
+
+    /// The earliest slot `>= from` for `d` over `duration`, as `(t, lo,
+    /// hi)`: `t` is [`AvailabilityProfile::earliest_start`]'s answer, `lo`
+    /// the rank of the segment starting at (or, for a non-boundary
+    /// `from`, containing) `t`, and `hi` the insertion rank of `t +
+    /// duration` — exactly the ranks [`AvailabilityProfile::carve`]
+    /// takes. A slot that never fits is `(+inf, S, S)`. `next` must be
+    /// the rank of the first boundary after `from`; the planner passes
+    /// the rank its memo carried, so a column-stored query does no binary
+    /// search over `times` at all. Packed-state profiles answer through
+    /// the tree or the walk and find the ranks by search.
+    pub(crate) fn earliest_slot(
+        &self,
+        d: &JobDemand,
+        from: f64,
+        next: usize,
+        duration: f64,
+    ) -> (f64, usize, usize) {
+        debug_assert_eq!(next, self.next_boundary(from), "carried rank of `from` is stale");
+        let n = self.times.len();
+        if !self.columnar() {
+            let t = self.earliest_start_packed(d, from, duration);
+            if !t.is_finite() {
+                return (t, n, n);
+            }
+            let lo = self.seg_index(t);
+            return (t, lo, lo + self.times[lo..].partition_point(|x| *x < t + duration));
+        }
+        let slot = self.scan_slot(d, from, next, duration);
+        debug_assert_eq!(slot.0.to_bits(), self.earliest_start_linear(d, from, duration).to_bits());
+        debug_assert_eq!(
+            (slot.1, slot.2),
+            if slot.0.is_finite() {
+                (self.seg_index(slot.0), self.boundary_rank(slot.0 + duration))
+            } else {
+                (n, n)
+            },
+            "slot ranks diverged from binary search"
+        );
+        slot
     }
 
     /// The frozen linear-walk `earliest_start` (suffix-minima skyline
@@ -1626,109 +1773,179 @@ impl AvailabilityProfile {
         self.scan_next_fail(&need, i, lim) == lim
     }
 
-    /// Column-scan `earliest_start`: the same candidate-advancing walk as
+    /// Column-scan slot query behind [`AvailabilityProfile::earliest_slot`]:
+    /// the same candidate-advancing walk as
     /// [`AvailabilityProfile::earliest_start_linear`] — each segment is
     /// still visited at most once — but the forward sweep evaluates the
     /// fit predicate as a branchless 8-segment bitmask over the resource
     /// columns, with the window boundary checked once per chunk instead
-    /// of once per segment (and no per-candidate binary search).
-    fn earliest_start_scan(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        let n = self.times.len();
+    /// of once per segment. The two-column layout (the paper's CPU +
+    /// burst-buffer machine) gets its own instantiation of the walk, so
+    /// the compiler can vectorize its mask.
+    fn scan_slot(
+        &self,
+        d: &JobDemand,
+        from: f64,
+        next: usize,
+        duration: f64,
+    ) -> (f64, usize, usize) {
         let need = self.scan_need(d);
+        if self.cols.len() == 2 {
+            let n = self.times.len();
+            let (c0, c1) = (&self.cols[0][..n], &self.cols[1][..n]);
+            let (n0, n1) = (need[0], need[1]);
+            return self.scan_candidates(
+                &need,
+                from,
+                next,
+                duration,
+                |i| scan_fail_mask8(c0, c1, n0, n1, i),
+                |i| (c0[i] < n0) | (c1[i] + FIT_EPS < n1),
+            );
+        }
+        self.scan_candidates(
+            &need,
+            from,
+            next,
+            duration,
+            |i| (0..8).fold(0, |m, k| m | u32::from(self.scan_fails_at(&need, i + k)) << k),
+            |i| self.scan_fails_at(&need, i),
+        )
+    }
+
+    /// The scan's candidate walk over a chunk fail mask `mask8` and a
+    /// single-segment `fails` test. The candidate's rank `k` is carried
+    /// along, and at acceptance the insertion rank of its end is counted
+    /// over the at most eight boundaries the sweep skipped unchecked
+    /// (`end_rank`), so the slot costs no binary search.
+    fn scan_candidates(
+        &self,
+        need: &[f64; MAX_RESOURCES],
+        from: f64,
+        mut i: usize,
+        duration: f64,
+        mask8: impl Fn(usize) -> u32,
+        fails: impl Fn(usize) -> bool,
+    ) -> (f64, usize, usize) {
+        let n = self.times.len();
+        let times = &self.times[..n];
+        let never = (f64::INFINITY, n, n);
+        // `k` is the rank of the candidate's segment, `i` the first
+        // boundary after the candidate.
+        let mut k = i.saturating_sub(1);
         let mut cand = from;
-        // First boundary strictly after the candidate.
-        let mut i = self.times.partition_point(|t| *t <= from);
-        if self.scan_fails_at(&need, i.saturating_sub(1)) {
+        if fails(k) {
             // `from` fails in its own segment: advance to the first
             // breakpoint whose segment fits.
-            i = self.scan_next_fit(&need, i, n);
+            i = self.scan_next_fit(need, i, n);
             if i == n {
-                return f64::INFINITY;
+                return never;
             }
-            cand = self.times[i];
+            k = i;
+            cand = times[i];
             i += 1;
         }
-        if self.cols.len() == 2 {
-            let c0 = &self.cols[0][..n];
-            let c1 = &self.cols[1][..n];
-            let times = &self.times[..n];
-            let (n0, n1) = (need[0], need[1]);
-            'candidate: loop {
-                let end = cand + duration;
-                while i + 8 <= n {
-                    if times[i] >= end {
-                        // The candidate's window closed with no block.
-                        return cand;
-                    }
-                    let m = scan_fail_mask8(c0, c1, n0, n1, i);
-                    if m != 0 {
-                        let b = i + m.trailing_zeros() as usize;
-                        if times[b] >= end {
-                            return cand;
-                        }
-                        // Segment b blocks every candidate in
-                        // (cand, times[b]]: jump to the next fit.
-                        i = self.scan_next_fit(&need, b + 1, n);
-                        if i == n {
-                            return f64::INFINITY;
-                        }
-                        cand = times[i];
-                        i += 1;
-                        continue 'candidate;
-                    }
-                    i += 8;
-                }
-                while i < n {
-                    if times[i] >= end {
-                        return cand;
-                    }
-                    if (c0[i] < n0) | (c1[i] + FIT_EPS < n1) {
-                        i = self.scan_next_fit(&need, i + 1, n);
-                        if i == n {
-                            return f64::INFINITY;
-                        }
-                        cand = times[i];
-                        i += 1;
-                        continue 'candidate;
-                    }
-                    i += 1;
-                }
-                return cand;
-            }
-        }
-        loop {
+        'candidate: loop {
             let end = cand + duration;
-            let lim = i + self.times[i..].partition_point(|t| *t < end);
-            let b = self.scan_next_fail(&need, i, lim);
-            if b == lim {
-                return cand;
+            while i + 8 <= n {
+                if times[i] >= end {
+                    // The candidate's window closed with no block.
+                    return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
+                }
+                let m = mask8(i);
+                if m != 0 {
+                    let b = m.trailing_zeros();
+                    if times[i + b as usize] >= end {
+                        return (cand, k, end_rank(times, end, i));
+                    }
+                    // Segment b blocks every candidate in (cand,
+                    // times[b]]: jump to the next fit, from the same
+                    // chunk's mask when it holds one.
+                    let fit = !m & 0xFF & (u32::MAX << (b + 1));
+                    i = if fit != 0 {
+                        i + fit.trailing_zeros() as usize
+                    } else {
+                        self.scan_next_fit(need, i + 8, n)
+                    };
+                    if i == n {
+                        return never;
+                    }
+                    k = i;
+                    cand = times[i];
+                    i += 1;
+                    continue 'candidate;
+                }
+                i += 8;
             }
-            // Segment b blocks every candidate in (cand, times[b]]: jump
-            // to the next fitting breakpoint.
-            i = self.scan_next_fit(&need, b + 1, n);
-            if i == n {
-                return f64::INFINITY;
+            while i < n {
+                if times[i] >= end {
+                    return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
+                }
+                if fails(i) {
+                    i = self.scan_next_fit(need, i + 1, n);
+                    if i == n {
+                        return never;
+                    }
+                    k = i;
+                    cand = times[i];
+                    i += 1;
+                    continue 'candidate;
+                }
+                i += 1;
             }
-            cand = self.times[i];
-            i += 1;
+            return (cand, k, end_rank(times, end, n.saturating_sub(8).max(k)));
         }
     }
 
-    /// Carves a reservation for `d` over `[start, start + duration)`.
+    /// Carves a reservation for `d` over `[start, start + duration)`: a
+    /// thin wrapper that finds the carve ranks by search — splitting
+    /// `start` in when it is not yet a boundary — and runs the one carve
+    /// body, `carve`. The conservative planner carves at the ranks its
+    /// query found instead (see [`AvailabilityProfile::reserve_earliest`]).
     ///
     /// # Panics
     /// Panics (debug) if the demand does not fit the interval.
     pub fn reserve(&mut self, d: &JobDemand, start: f64, duration: f64) {
         debug_assert!(self.fits_interval(d, start, duration), "reserve without fit check");
         let end = start + duration;
-        // The splits return the rank of the boundary equal to (or at the
-        // profile edge, clamping) each endpoint, so the carve range is
-        // exactly `lo..hi` — no per-segment overlap tests needed.
         let lo = self.split_at(start);
-        let hi = self.split_at(end);
-        // Subtract over the contiguous span. The interval fit was
-        // established by the caller (debug-asserted above), so no
-        // per-segment fit re-check applies.
+        let hi = lo + self.times[lo..].partition_point(|t| *t < end);
+        self.carve(d, lo, hi, end);
+    }
+
+    /// Finds the earliest start `>= from` for `d` over `duration` and
+    /// carves the reservation there, returning the start (`+inf`, with
+    /// nothing carved, when it never fits). Same result as
+    /// [`AvailabilityProfile::earliest_start`] followed by
+    /// [`AvailabilityProfile::reserve`], but the carve reuses the ranks
+    /// the query found (`earliest_slot`) instead of searching `times`
+    /// again — the conservative planner's candidate step, which calls the
+    /// rank-taking pair directly.
+    pub fn reserve_earliest(&mut self, d: &JobDemand, from: f64, duration: f64) -> f64 {
+        let (t, lo, hi) = self.earliest_slot(d, from, self.next_boundary(from), duration);
+        if t.is_finite() {
+            if self.times[lo] == t {
+                self.carve(d, lo, hi, t + duration);
+            } else {
+                // `t` is `from` itself, strictly inside segment `lo`: the
+                // wrapper splits it in first.
+                self.reserve(d, t, duration);
+            }
+        }
+        t
+    }
+
+    /// Carves `d` out of segments `lo..hi`: `lo` is the rank of the
+    /// reservation's start boundary and `hi` the insertion rank of its
+    /// `end`. Splits `end` in at `hi` when it is not already a boundary,
+    /// and returns whether it did — ranks at or beyond `hi` then moved
+    /// up by one. The interval fit is the caller's (its query found it),
+    /// so no per-segment fit re-check applies.
+    pub(crate) fn carve(&mut self, d: &JobDemand, lo: usize, hi: usize, end: f64) -> bool {
+        let split = lo < hi && end.is_finite() && self.times.get(hi) != Some(&end);
+        if split {
+            self.insert_boundary(hi, end);
+        }
         if self.columnar() {
             // One tight subtraction per resource column: the same
             // `free - demand` arithmetic `free_carve` applies to a packed
@@ -1758,6 +1975,7 @@ impl AvailabilityProfile {
         // almost never accept mid-profile while costing a full state
         // compare per visited boundary.
         self.skyline_clean_from = self.skyline_clean_from.max(hi);
+        split
     }
 
     /// Extracts the profile's owned state: boundaries, per-segment states
@@ -1848,7 +2066,7 @@ impl AvailabilityProfile {
     }
 
     /// Ensures `t` is a breakpoint (no-op if it already is or precedes the
-    /// origin; infinite times are ignored).
+    /// origin; infinite times are ignored) and returns its rank.
     fn split_at(&mut self, t: f64) -> usize {
         if !t.is_finite() {
             return self.times.len();
@@ -1856,10 +2074,20 @@ impl AvailabilityProfile {
         if t <= self.times[0] {
             return 0;
         }
-        let i = match self.times.binary_search_by(|x| x.total_cmp(&t)) {
-            Ok(i) => return i,
-            Err(i) => i,
-        };
+        match self.times.binary_search_by(|x| x.total_cmp(&t)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.insert_boundary(i, t);
+                i
+            }
+        }
+    }
+
+    /// Inserts boundary `t` at rank `i` (`times[i - 1] < t < times[i]`),
+    /// duplicating segment `i - 1`, and keeps the watermark, the tree and
+    /// the skyline rank-aligned.
+    fn insert_boundary(&mut self, i: usize, t: f64) {
+        debug_assert!(i > 0 && self.times[i - 1] < t && self.times.get(i).is_none_or(|&x| t < x));
         self.times.insert(i, t);
         // Duplicate segment `i - 1` at rank `i`. The watermark shift
         // below the invalidation point is wire state and applies to
@@ -1872,7 +2100,7 @@ impl AvailabilityProfile {
             for col in &mut self.cols {
                 col.insert(i, col[i - 1]);
             }
-            return i;
+            return;
         }
         let f = self.frees[i - 1];
         self.frees.insert(i, f);
@@ -1895,7 +2123,6 @@ impl AvailabilityProfile {
             _ => f,
         };
         self.skyline.insert(i, v);
-        i
     }
 }
 
@@ -2259,13 +2486,68 @@ mod tests {
         }
     }
 
+    /// The three machine shapes the profile property tests run on, with
+    /// a tag for [`shaped_demand`]: pooled R = 2 (column scan's
+    /// two-column walk), pooled R = 3 with GPUs (its generic walk), and
+    /// flavoured SSD nodes (packed states, skyline, tree).
+    fn profile_systems() -> [(PoolState, u32); 3] {
+        let gpus = ResourceModel::new(vec![
+            ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
+            ResourceSpec::pooled("bb_gb", 2_000.0, DemandSlot::BbGb),
+            ResourceSpec::pooled("gpus", 64.0, DemandSlot::Extra(0)),
+        ])
+        .expect("3-resource pooled test model is valid");
+        [
+            (PoolState::cpu_bb(512, 2_000.0), 0),
+            (PoolState::from_model(&gpus), 1),
+            (PoolState::with_ssd(128, 128, 2_000.0), 2),
+        ]
+    }
+
+    /// Maps raw words onto a demand for machine shape `kind`: GPUs or SSD
+    /// on a quarter (half, for SSD) of the demands where the shape has
+    /// them.
+    fn shaped_demand(kind: u32, a: u16, b: u8, c: u8) -> JobDemand {
+        let d = JobDemand::cpu_bb(1 + u32::from(a) % 300, f64::from(b % 4) * 150.0);
+        match (kind, c % 4) {
+            (1, 0) => d.with_extra(0, f64::from(c % 40)),
+            (2, 0) => JobDemand { ssd_gb_per_node: 64.0, ..d },
+            (2, 1) => JobDemand { ssd_gb_per_node: 240.0, ..d },
+            _ => d,
+        }
+    }
+
+    /// Folds a profile at `now` over the running jobs `running` start on
+    /// a fresh ledger of `pool` (those that fit), releasing at integer
+    /// offsets after `now`.
+    fn fold_running(
+        pool: PoolState,
+        kind: u32,
+        running: &[(u16, u16)],
+        now: f64,
+    ) -> AvailabilityProfile {
+        let mut ledger = AllocLedger::new(pool);
+        for (i, &(a, b)) in running.iter().enumerate() {
+            let d = shaped_demand(kind, a % 64, (b % 4) as u8, (b >> 8) as u8);
+            if ledger.fits(&d) {
+                ledger.start(i, d, now + 1.0 + f64::from(b % 2_000));
+            }
+        }
+        let mut mirror = ReleaseMirror::new();
+        let mut profile = AvailabilityProfile::default();
+        mirror.sync(&ledger);
+        mirror.fold_into(now, *ledger.pool(), &mut profile);
+        profile
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig { cases: 256 })]
 
         /// The memo's bound is the exact dominance maximum over every
         /// answer noted in the pass, whatever order the answers arrive
         /// in (out of `t` order, ties, `+inf`) and whatever the memo
-        /// drops as redundant.
+        /// drops as redundant; the rank it returns is the one noted with
+        /// that answer.
         #[test]
         fn memo_bound_is_the_exact_dominated_maximum(
             ops in proptest::collection::vec(
@@ -2273,26 +2555,29 @@ mod tests {
                 1..200),
         ) {
             let now = 1_000.0;
+            // Each answer's rank, as a function of the answer alone.
+            let rank_of = |t: f64| if t.is_finite() { (t - now) as usize } else { 1_000 };
             let mut memo = DominanceMemo::default();
             let mut noted = Vec::new();
             for (round, chunk) in ops.chunks(120).enumerate() {
                 // A second round checks a cleared memo really forgets.
-                memo.entries.clear();
+                memo.clear();
                 noted.clear();
                 for &(is_note, a, b, c, k) in chunk {
                     let d = memo_demand(a, b, c);
                     let dur = 1.0 + f64::from(k % 8) * 600.0;
                     if is_note {
                         let t = if k % 13 == 0 { f64::INFINITY } else { now + f64::from(k / 8) };
-                        memo.note(&d, dur, t);
+                        memo.note(&d, dur, t, rank_of(t));
                         noted.push((d, dur, t));
                     } else {
-                        let got = memo.bound(&d, dur, now);
+                        let (got, rank) = memo.bound(&d, dur, now);
                         let want = brute_bound(&noted, &d, dur, now);
                         proptest::prop_assert_eq!(
                             got.to_bits(), want.to_bits(),
                             "round {} bound {} != brute force {}", round, got, want
                         );
+                        proptest::prop_assert_eq!(rank, rank_of(got));
                     }
                 }
             }
@@ -2306,45 +2591,15 @@ mod tests {
             running in proptest::collection::vec((0u16..u16::MAX, 0u16..u16::MAX), 0..60),
             cands in proptest::collection::vec((0u16..u16::MAX, 0u8..=255, 0u8..=255, 0u16..900), 1..80),
         ) {
-            let gpus = ResourceModel::new(vec![
-                ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
-                ResourceSpec::pooled("bb_gb", 2_000.0, DemandSlot::BbGb),
-                ResourceSpec::pooled("gpus", 64.0, DemandSlot::Extra(0)),
-            ])
-            .expect("3-resource pooled test model is valid");
-            let systems: [(PoolState, u32); 3] = [
-                (PoolState::cpu_bb(512, 2_000.0), 0),
-                (PoolState::from_model(&gpus), 1),
-                (PoolState::with_ssd(128, 128, 2_000.0), 2),
-            ];
-            for (pool, kind) in systems {
-                let shape = |a: u16, b: u8, c: u8| -> JobDemand {
-                    let d = JobDemand::cpu_bb(1 + u32::from(a) % 300, f64::from(b % 4) * 150.0);
-                    match (kind, c % 4) {
-                        (1, 0) => d.with_extra(0, f64::from(c % 40)),
-                        (2, 0) => JobDemand { ssd_gb_per_node: 64.0, ..d },
-                        (2, 1) => JobDemand { ssd_gb_per_node: 240.0, ..d },
-                        _ => d,
-                    }
-                };
+            for (pool, kind) in profile_systems() {
                 let now = 50.0;
-                let mut ledger = AllocLedger::new(pool);
-                for (i, &(a, b)) in running.iter().enumerate() {
-                    let d = shape(a % 64, (b % 4) as u8, (b >> 8) as u8);
-                    if ledger.fits(&d) {
-                        ledger.start(i, d, now + 1.0 + f64::from(b % 2_000));
-                    }
-                }
-                let mut mirror = ReleaseMirror::new();
-                let mut profile = AvailabilityProfile::default();
-                mirror.sync(&ledger);
-                mirror.fold_into(now, *ledger.pool(), &mut profile);
+                let mut profile = fold_running(pool, kind, &running, now);
                 let mut memo = DominanceMemo::default();
                 for &(a, b, c, k) in &cands {
-                    let d = shape(a, b, c);
+                    let d = shaped_demand(kind, a, b, c);
                     let dur = 1.0 + f64::from(k);
                     let full = profile.earliest_start(&d, now, dur);
-                    let from = memo.bound(&d, dur, now);
+                    let (from, _) = memo.bound(&d, dur, now);
                     let t = if from.is_finite() {
                         profile.earliest_start(&d, from, dur)
                     } else {
@@ -2355,10 +2610,86 @@ mod tests {
                         "system {}: from {} gave {}, full walk {}", kind, from, t, full
                     );
                     if t > from.max(now + TIME_EPS) {
-                        memo.note(&d, dur, t);
+                        memo.note(&d, dur, t, profile.boundary_rank(t));
                     }
                     if t.is_finite() {
                         profile.reserve(&d, t, dur);
+                    }
+                }
+            }
+        }
+
+        /// The planner's rank-carrying candidate step — slot query from a
+        /// carried rank, carve at the slot's ranks, memo ranks shifted
+        /// past split-in boundaries — answers bit for bit like the linear
+        /// walk and leaves the profile exactly where `earliest_start` +
+        /// `reserve` leave a clone (boundaries, states, skyline
+        /// watermark), with every carried memo rank current after every
+        /// carve. Queries start at `now`, at the memo's bound, or at any
+        /// noted answer; a non-boundary `from` takes `reserve_earliest`,
+        /// whose answer at `from` itself goes through the wrapper's
+        /// start split.
+        #[test]
+        fn rank_carrying_step_equals_query_then_reserve(
+            running in proptest::collection::vec((0u16..u16::MAX, 0u16..u16::MAX), 0..60),
+            cands in proptest::collection::vec(
+                (0u16..u16::MAX, 0u8..=255, 0u8..=255, 0u16..900, 0u8..=255), 1..80),
+        ) {
+            for (pool, kind) in profile_systems() {
+                let now = 50.0;
+                let mut profile = fold_running(pool, kind, &running, now);
+                let mut twin = profile.clone();
+                let mut memo = DominanceMemo::default();
+                for &(a, b, c, k, mode) in &cands {
+                    let d = shaped_demand(kind, a, b, c);
+                    let dur = 1.0 + f64::from(k);
+                    if mode % 4 == 3 {
+                        // Every boundary is `now` plus whole seconds, so
+                        // this `from` lies strictly inside a segment.
+                        let from = now + 0.5 + f64::from(mode);
+                        let want = twin.earliest_start_linear(&d, from, dur);
+                        let t = profile.reserve_earliest(&d, from, dur);
+                        proptest::prop_assert_eq!(t.to_bits(), want.to_bits());
+                        if want.is_finite() {
+                            twin.reserve(&d, want, dur);
+                        }
+                        // The start split moved ranks the memo cannot
+                        // follow; a pass never queries off a boundary.
+                        memo.clear();
+                    } else {
+                        let (from, rank) = match mode % 4 {
+                            0 => memo.bound(&d, dur, now),
+                            1 => (now, 0),
+                            _ if memo.entries.is_empty() => (now, 0),
+                            _ => {
+                                let j = usize::from(mode) % memo.entries.len();
+                                (memo.entries[j].t, memo.ranks[j] as usize)
+                            }
+                        };
+                        if !from.is_finite() {
+                            continue;
+                        }
+                        let want = twin.earliest_start_linear(&d, from, dur);
+                        let (t, lo, hi) = profile.earliest_slot(&d, from, rank + 1, dur);
+                        proptest::prop_assert_eq!(
+                            t.to_bits(), want.to_bits(),
+                            "system {}: slot from {} gave {}, linear walk {}", kind, from, t, want
+                        );
+                        if t.is_finite() {
+                            if profile.carve(&d, lo, hi, t + dur) {
+                                memo.shift_ranks(hi);
+                            }
+                            twin.reserve(&d, t, dur);
+                        }
+                        if t > from.max(now + TIME_EPS) {
+                            memo.note(&d, dur, t, lo);
+                        }
+                    }
+                    proptest::prop_assert_eq!(profile.times(), twin.times());
+                    proptest::prop_assert_eq!(profile.states(), twin.states());
+                    proptest::prop_assert_eq!(profile.skyline_clean_from, twin.skyline_clean_from);
+                    for (e, &r) in memo.entries.iter().zip(&memo.ranks) {
+                        proptest::prop_assert_eq!(r as usize, profile.times().partition_point(|x| *x < e.t));
                     }
                 }
             }

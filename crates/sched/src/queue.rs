@@ -272,7 +272,7 @@ mod tests {
         /// regime where the cached-score sort's tie-breaks and stability
         /// could silently diverge from the reference.
         #[test]
-        fn prop_kinetic_interleaved_equals_full_resort_every_invocation(
+        fn prop_wfp_interleaved_equals_full_resort_every_invocation(
             r in 2usize..=3,
             steps in proptest::collection::vec((0u8..6, 0usize..5, 0u32..240), 1..40),
         ) {
