@@ -27,7 +27,7 @@
 use bbsched_core::pools::PoolState;
 use bbsched_core::problem::JobDemand;
 use bbsched_policies::{GaParams, PolicyKind};
-use bbsched_sched::{AvailabilityProfile, SchedConfig, SchedCore};
+use bbsched_sched::{AvailabilityProfile, Decision, JobEvent, SchedConfig, SchedCore, StartReason};
 use bbsched_sim::{BackfillAlgorithm, BackfillScope, BaseScheduler, SimConfig, Simulator};
 use bbsched_workloads::{generate, swf, GeneratorConfig, Job, MachineProfile, Trace};
 use rand::rngs::SmallRng;
@@ -478,6 +478,45 @@ fn main() {
                 decoded.schema_version as usize
             });
         }
+    }
+
+    // --- wire: the daemon's per-line parse and per-decision render ---
+    // One iteration is one event line (cycling through the replay
+    // fixture) or one decision line (cycling through a fixed mix of
+    // Start and Reserve decisions, rendered into a reused buffer as the
+    // daemon's decision stream does).
+    {
+        let lines: Vec<&str> = include_str!("../../../../ci/replay_events.jsonl").lines().collect();
+        let mut i = 0usize;
+        push("wire/event_parse", samples, 0.01, &mut || {
+            i = (i + 1) % lines.len();
+            let event = JobEvent::parse(lines[i]).expect("fixture lines parse");
+            event.time() as usize
+        });
+        let mut rng = SmallRng::seed_from_u64(5);
+        let reasons = [StartReason::Policy, StartReason::Backfill, StartReason::Starvation];
+        let decisions: Vec<(f64, Decision)> = (0..64)
+            .map(|k| {
+                let now: f64 = rng.random_range(0.0..2e6);
+                let id = rng.random_range(0..100_000u64);
+                let end: f64 = now + rng.random_range(60.0..86_400.0);
+                let d = if k % 3 == 2 {
+                    Decision::Reserve { idx: k, id, at: end.round() }
+                } else {
+                    Decision::Start { idx: k, id, reason: reasons[k % 3], est_end: end }
+                };
+                (now, d)
+            })
+            .collect();
+        let mut line = String::new();
+        let mut k = 0usize;
+        push("wire/decision_line", samples, 0.01, &mut || {
+            k = (k + 1) % decisions.len();
+            let (now, d) = &decisions[k];
+            line.clear();
+            d.write_json_line(*now, &mut line);
+            line.len()
+        });
     }
 
     // --- policy_overhead ---

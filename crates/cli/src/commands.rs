@@ -497,38 +497,63 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A [`SchedObserver`] that streams each decision to a writer as it is
-/// made, in the canonical JSON-line encoding. IO failures are latched
-/// (the observer hooks cannot return errors) and surfaced after the run.
+/// A [`SchedObserver`] that streams decisions to a writer in the
+/// canonical JSON-line encoding, one `write_all` per invocation: it
+/// renders an invocation's lines into one reused buffer and writes them
+/// when the backfill pass ends (phases 3–5 of `SchedCore::invoke` make
+/// every decision), so a consumer never sees half an instant and phase
+/// 6's queue cleanup does not delay the write. `on_invocation_end`
+/// writes any remainder. IO failures are latched (the observer hooks
+/// cannot return errors) and surfaced after the run.
 pub(crate) struct DecisionStream<W: Write> {
     pub(crate) out: W,
     pub(crate) io_error: Option<std::io::Error>,
-    /// Flush after every line — the daemon's mode, where a downstream
-    /// consumer acts on each decision as it appears.
-    pub(crate) flush_each: bool,
+    /// Flush after each invocation's write — the daemon's mode, where a
+    /// downstream consumer acts on an instant's decisions as they appear.
+    pub(crate) flush_per_invocation: bool,
+    /// The current invocation's rendered lines, not yet written.
+    pending: String,
 }
 
 impl<W: Write> DecisionStream<W> {
     pub(crate) fn new(out: W) -> Self {
-        Self { out, io_error: None, flush_each: false }
+        Self { out, io_error: None, flush_per_invocation: false, pending: String::new() }
+    }
+
+    fn write_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        if self.io_error.is_none() {
+            let result = self.out.write_all(self.pending.as_bytes()).and_then(|()| {
+                if self.flush_per_invocation {
+                    self.out.flush()
+                } else {
+                    Ok(())
+                }
+            });
+            if let Err(e) = result {
+                self.io_error = Some(e);
+            }
+        }
+        self.pending.clear();
     }
 }
 
 impl<W: Write> SchedObserver for DecisionStream<W> {
     fn on_decision(&mut self, now: f64, decision: &Decision) {
-        if self.io_error.is_some() {
-            return;
+        if self.io_error.is_none() {
+            decision.write_json_line(now, &mut self.pending);
+            self.pending.push('\n');
         }
-        let result = writeln!(self.out, "{}", decision.json_line(now)).and_then(|()| {
-            if self.flush_each {
-                self.out.flush()
-            } else {
-                Ok(())
-            }
-        });
-        if let Err(e) = result {
-            self.io_error = Some(e);
-        }
+    }
+
+    fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
+        self.write_pending();
+    }
+
+    fn on_invocation_end(&mut self, _now: f64, _started: usize) {
+        self.write_pending();
     }
 }
 
@@ -1065,6 +1090,157 @@ mod tests {
         assert!(run(&args).is_err());
         let args = Args::parse(["stats", "--trase", "x"]).unwrap();
         assert!(run(&args).is_err());
+    }
+
+    /// Counts `write` and `flush` calls on a [`DecisionStream`]'s writer
+    /// and keeps the written bytes; `fail` turns every write into an
+    /// error.
+    #[derive(Default)]
+    struct WireLog {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+        fail: bool,
+    }
+
+    struct CountingWriter(std::rc::Rc<std::cell::RefCell<WireLog>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut log = self.0.borrow_mut();
+            log.writes += 1;
+            if log.fail {
+                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reader gone"));
+            }
+            log.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.borrow_mut().flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// Attached after the stream: checks, per invocation, that the
+    /// stream issued exactly one write + flush by the end of the
+    /// backfill pass when the invocation decided anything (none when it
+    /// did not), that those bytes are the decisions' `json_line`s, and
+    /// that phase 6 wrote nothing more.
+    struct InvocationAudit {
+        log: std::rc::Rc<std::cell::RefCell<WireLog>>,
+        before: (usize, usize, usize),
+        lines: String,
+        deciding: usize,
+    }
+
+    impl InvocationAudit {
+        fn counts(&self) -> (usize, usize, usize) {
+            let log = self.log.borrow();
+            (log.writes, log.flushes, log.bytes.len())
+        }
+    }
+
+    impl SchedObserver for InvocationAudit {
+        fn on_invocation_begin(&mut self, _now: f64, _invocation: u64, _queue_len: usize) {
+            self.before = self.counts();
+            self.lines.clear();
+        }
+
+        fn on_decision(&mut self, now: f64, decision: &Decision) {
+            self.lines.push_str(&decision.json_line(now));
+            self.lines.push('\n');
+        }
+
+        fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
+            let (w, f, b) = self.before;
+            let calls = usize::from(!self.lines.is_empty());
+            assert_eq!(self.counts(), (w + calls, f + calls, b + self.lines.len()));
+            assert_eq!(&self.log.borrow().bytes[b..], self.lines.as_bytes());
+            self.deciding += calls;
+            self.before = self.counts();
+        }
+
+        fn on_invocation_end(&mut self, _now: f64, _started: usize) {
+            assert_eq!(self.counts(), self.before, "phase 6 makes no decisions");
+        }
+    }
+
+    /// Replays the checked-in event fixture into a daemon-mode stream
+    /// over `log`, with an audit observer behind it. Returns the stream
+    /// and the number of invocations that decided something.
+    fn replay_fixture_into(
+        log: &std::rc::Rc<std::cell::RefCell<WireLog>>,
+    ) -> (DecisionStream<CountingWriter>, usize) {
+        let mut stream = DecisionStream::new(CountingWriter(log.clone()));
+        stream.flush_per_invocation = true;
+        let mut audit = InvocationAudit {
+            log: log.clone(),
+            before: (0, 0, 0),
+            lines: String::new(),
+            deciding: 0,
+        };
+        let profile = parse_machine("cori").unwrap().scaled(0.05);
+        let cfg = bbsched_sched::SchedConfig::default();
+        {
+            let observers: Vec<&mut dyn SchedObserver> = vec![&mut stream, &mut audit];
+            let policy = PolicyKind::Baseline.build(GaParams::default());
+            let mut replayer = Replayer::new(&profile.system, cfg, policy, observers).unwrap();
+            for line in include_str!("../../../ci/replay_events.jsonl").lines() {
+                replayer.feed(JobEvent::parse(line).unwrap()).unwrap();
+            }
+            replayer.finish().unwrap();
+        }
+        (stream, audit.deciding)
+    }
+
+    #[test]
+    fn decision_stream_writes_once_per_deciding_invocation() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        let (stream, deciding) = replay_fixture_into(&log);
+        assert!(stream.io_error.is_none());
+        assert!(deciding > 50, "the fixture decides in many invocations ({deciding})");
+        let log = log.borrow();
+        assert_eq!((log.writes, log.flushes), (deciding, deciding));
+
+        // An invocation that decides nothing writes and flushes nothing.
+        let quiet = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        let mut stream = DecisionStream::new(CountingWriter(quiet.clone()));
+        stream.flush_per_invocation = true;
+        stream.on_invocation_begin(1.0, 1, 3);
+        stream.on_backfill_pass(1.0, "EASY", 0);
+        stream.on_invocation_end(1.0, 0);
+        assert_eq!((quiet.borrow().writes, quiet.borrow().flushes), (0, 0));
+    }
+
+    #[test]
+    fn decision_stream_bytes_equal_the_json_line_stream() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        replay_fixture_into(&log);
+        let expected = include_str!("../../../ci/replay_expected.jsonl");
+        assert_eq!(String::from_utf8(log.borrow().bytes.clone()).unwrap(), expected);
+    }
+
+    #[test]
+    fn decision_stream_latches_the_first_write_error() {
+        let log =
+            std::rc::Rc::new(std::cell::RefCell::new(WireLog { fail: true, ..Default::default() }));
+        let mut stream = DecisionStream::new(CountingWriter(log.clone()));
+        let start = Decision::Start {
+            idx: 0,
+            id: 1,
+            reason: bbsched_sched::StartReason::Policy,
+            est_end: 9.0,
+        };
+        for now in [1.0, 2.0] {
+            stream.on_invocation_begin(now, 1, 1);
+            stream.on_decision(now, &start);
+            stream.on_backfill_pass(now, "EASY", 0);
+            stream.on_invocation_end(now, 1);
+        }
+        let err = stream.io_error.expect("the failed write is latched");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert_eq!(log.borrow().writes, 1, "no write is attempted after the error");
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! `cli serve` — the long-running scheduler daemon.
 //!
-//! Reads job events from stdin or a path, emits one JSON decision per
-//! line to stdout (flushed per line, so a downstream consumer can act
-//! on each decision as it appears), and layers the `bbsched_sched`
-//! durability module over the online replay driver:
+//! Reads job events from stdin or a path (each line parsed once, into a
+//! `Value` that classifies it and then becomes the event), emits one
+//! JSON decision per line to stdout, and layers the `bbsched_sched`
+//! durability module over the online replay driver. An invocation's
+//! decisions go out in one write + flush when its backfill pass ends,
+//! so a downstream consumer acts on each instant as soon as it is
+//! decided and never sees half of one. The durability options:
 //!
 //! * `--journal DIR` — every consumed input line is appended to a
 //!   write-ahead journal (fsync'd per line) in `DIR/events.wal`, and
@@ -135,7 +138,7 @@ fn classify_line(line: &str) -> Result<ServeLine, String> {
             .ok_or("set-policy needs a string 'name'")?;
         Ok(ServeLine::SetPolicy(parse_policy(name)?))
     } else {
-        Ok(ServeLine::Event(JobEvent::parse(line)?))
+        Ok(ServeLine::Event(JobEvent::from_value(&value)?))
     }
 }
 
@@ -316,7 +319,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
 
     let stdout = std::io::stdout();
     let mut stream = DecisionStream::new(stdout.lock());
-    stream.flush_each = true;
+    stream.flush_per_invocation = true;
     let mut stats = (stats_every > 0).then(|| LiveStatsLines::new(stats_every, std::io::stderr()));
 
     // Each hot-swap ends a *segment*: the replayer (which borrows the
@@ -496,4 +499,53 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         return Err(CliError::Output(format!("cannot write decision stream: {e}")));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The fixture's event lines plus two control lines.
+    fn corpus() -> Vec<String> {
+        let mut lines: Vec<String> =
+            include_str!("../../../ci/replay_events.jsonl").lines().map(String::from).collect();
+        lines.push(r#"{"type":"set-policy","name":"Baseline"}"#.to_string());
+        lines.push(r#"{"type":"set-policy","name":"BBSched"}"#.to_string());
+        lines
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        /// Mutated lines never panic the classifier, and an event line
+        /// classifies exactly as `JobEvent::parse` reads it: same event
+        /// or same error text.
+        #[test]
+        fn mutated_lines_classify_without_panics(
+            line in 0usize..10_000,
+            edits in collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..5),
+        ) {
+            let corpus = corpus();
+            let mut bytes = corpus[line % corpus.len()].as_bytes().to_vec();
+            for (op, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match op {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    2 => bytes.insert(at, byte),
+                    _ => bytes.insert(at, b"\"\\{}[]:,.e-"[byte as usize % 11]),
+                }
+            }
+            let line = String::from_utf8_lossy(&bytes);
+            match classify_line(&line) {
+                Ok(ServeLine::SetPolicy(_)) => prop_assert!(line.contains("set-policy")),
+                Ok(ServeLine::Event(event)) => prop_assert_eq!(JobEvent::parse(&line), Ok(event)),
+                Err(e) if line.contains("set-policy") => prop_assert!(!e.is_empty()),
+                Err(e) => prop_assert_eq!(JobEvent::parse(&line), Err(e)),
+            }
+        }
+    }
 }

@@ -2,8 +2,8 @@
 //! journaled decision stream matches the golden replay fixture, a
 //! SIGTERM'd daemon recovers with `--recover` to a byte-identical
 //! concatenated stream, live policy hot-swap is journaled and
-//! deterministic, and `snapshot inspect` reports snapshot facts with
-//! typed exit codes.
+//! deterministic, a closed decision stream is reported at exit, and
+//! `snapshot inspect` reports snapshot facts with typed exit codes.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -237,6 +237,27 @@ fn serve_errors_have_the_right_exit_codes() {
     assert_eq!(out.status.code(), Some(2), "dirty journal dir without --recover is usage");
     std::fs::remove_dir_all(&empty).ok();
     std::fs::remove_dir_all(&dirty).ok();
+}
+
+/// A consumer that hangs up does not stop the daemon mid-input: the
+/// first failed decision write is latched, the rest of the stream is
+/// served, and the daemon exits 4 naming the decision stream.
+#[test]
+fn closed_decision_stream_is_reported_at_exit() {
+    let events = ci_dir().join("replay_events.jsonl");
+    let mut child = bbsched()
+        .args(["serve", "--events", events.to_str().unwrap()])
+        .args(SCENARIO)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary must spawn");
+    drop(child.stdout.take()); // the consumer is gone before any decision
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(stderr.contains("served 200 lines"), "{stderr}");
+    assert!(stderr.contains("cannot write decision stream"), "{stderr}");
 }
 
 /// `snapshot inspect` exit codes: 0 on a readable snapshot (either

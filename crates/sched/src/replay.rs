@@ -87,6 +87,13 @@ impl JobEvent {
     /// Parses one wire line (see the module docs for the format).
     pub fn parse(line: &str) -> Result<Self, String> {
         let v = serde_json::value_from_slice(line.as_bytes()).map_err(|e| e.to_string())?;
+        Self::from_value(&v)
+    }
+
+    /// Reads an event out of an already-parsed wire line, for callers
+    /// that inspect the [`Value`] first (the daemon's control lines) and
+    /// must not parse the line twice.
+    pub fn from_value(v: &Value) -> Result<Self, String> {
         let map = v.as_map().ok_or("event line is not a JSON object")?;
         let ty = get(map, "type")
             .and_then(Value::as_str)

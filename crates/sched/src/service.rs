@@ -53,6 +53,7 @@ use bbsched_policies::SelectionPolicy;
 use bbsched_workloads::{Job, SystemConfig};
 use serde::Value;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// One scheduling decision, as returned by [`SchedCore::invoke`].
 ///
@@ -91,27 +92,53 @@ pub enum Decision {
 }
 
 impl Decision {
-    /// Renders the decision as one canonical JSON line, stamped with the
-    /// invocation time `now`. Both drivers emit this exact encoding
-    /// (floats in shortest-round-trip form), which is what makes decision
-    /// streams byte-comparable across drivers.
+    /// Renders the decision as one canonical JSON line (no trailing
+    /// newline), stamped with the invocation time `now`. Every driver
+    /// emits this exact encoding, which is what makes decision streams
+    /// byte-comparable across drivers. A wrapper around
+    /// [`Decision::write_json_line`]; streaming callers use that one
+    /// with a reused buffer.
     pub fn json_line(&self, now: f64) -> String {
-        let map = match *self {
-            Decision::Start { id, reason, est_end, .. } => vec![
-                ("t".to_string(), Value::F64(now)),
-                ("decision".to_string(), Value::Str("start".to_string())),
-                ("job".to_string(), Value::U64(id)),
-                ("reason".to_string(), Value::Str(reason.label().to_string())),
-                ("est_end".to_string(), Value::F64(est_end)),
-            ],
-            Decision::Reserve { id, at, .. } => vec![
-                ("t".to_string(), Value::F64(now)),
-                ("decision".to_string(), Value::Str("reserve".to_string())),
-                ("job".to_string(), Value::U64(id)),
-                ("at".to_string(), Value::F64(at)),
-            ],
-        };
-        serde_json::to_string(&RawValue(Value::Map(map))).expect("decision maps always serialize")
+        let mut line = String::with_capacity(96);
+        self.write_json_line(now, &mut line);
+        line
+    }
+
+    /// Appends the canonical JSON line (no trailing newline) to `out`:
+    /// the fields in wire order, ids as `u64` text, floats under the
+    /// `serde_json` rule (non-finite → `null`, integral with
+    /// |f| < 1e15 → one decimal, otherwise shortest round-trip).
+    pub fn write_json_line(&self, now: f64, out: &mut String) {
+        out.push_str("{\"t\":");
+        push_f64(out, now);
+        match *self {
+            Decision::Start { id, reason, est_end, .. } => {
+                let _ = write!(
+                    out,
+                    ",\"decision\":\"start\",\"job\":{id},\"reason\":\"{}\",\"est_end\":",
+                    reason.label()
+                );
+                push_f64(out, est_end);
+            }
+            Decision::Reserve { id, at, .. } => {
+                let _ = write!(out, ",\"decision\":\"reserve\",\"job\":{id},\"at\":");
+                push_f64(out, at);
+            }
+        }
+        out.push('}');
+    }
+}
+
+/// The vendored `serde_json` float rule, repeated here because that
+/// crate keeps to upstream `serde_json`'s API, which has no float writer.
+/// `write_json_line_matches_the_value_rendering` pins the two together.
+fn push_f64(out: &mut String, f: f64) {
+    if !f.is_finite() {
+        out.push_str("null");
+    } else if f == f.trunc() && f.abs() < 1e15 {
+        let _ = write!(out, "{f:.1}");
+    } else {
+        let _ = write!(out, "{f}");
     }
 }
 
@@ -755,6 +782,89 @@ mod tests {
         );
         let reserve = Decision::Reserve { idx: 1, id: 4, at: 100.0 };
         assert_eq!(reserve.json_line(2.5), r#"{"t":2.5,"decision":"reserve","job":4,"at":100.0}"#);
+    }
+
+    /// The decision line as the `Value`-map construction rendered it
+    /// before [`Decision::write_json_line`]: the byte-identity oracle.
+    fn json_line_via_value(d: &Decision, now: f64) -> String {
+        let map = match *d {
+            Decision::Start { id, reason, est_end, .. } => vec![
+                ("t".to_string(), Value::F64(now)),
+                ("decision".to_string(), Value::Str("start".to_string())),
+                ("job".to_string(), Value::U64(id)),
+                ("reason".to_string(), Value::Str(reason.label().to_string())),
+                ("est_end".to_string(), Value::F64(est_end)),
+            ],
+            Decision::Reserve { id, at, .. } => vec![
+                ("t".to_string(), Value::F64(now)),
+                ("decision".to_string(), Value::Str("reserve".to_string())),
+                ("job".to_string(), Value::U64(id)),
+                ("at".to_string(), Value::F64(at)),
+            ],
+        };
+        serde_json::to_string(&RawValue(Value::Map(map))).unwrap()
+    }
+
+    /// Floats around every branch of the float rule: integral values
+    /// below and above 1e15, negatives, ±0, subnormals, `f64::MAX`,
+    /// non-finite values, and arbitrary bit patterns.
+    fn wire_float(kind: u8, bits: u64) -> f64 {
+        const EDGES: [f64; 16] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e15,
+            -1e15,
+            999_999_999_999_999.0,
+            1e15 + 2.0,
+            9_007_199_254_740_993.0,
+            1e300,
+            -0.5,
+        ];
+        match kind % 7 {
+            0 => EDGES[bits as usize % EDGES.len()],
+            1 => f64::from_bits(bits),
+            2 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // ±subnormal
+            3 => 1e15 + (bits % 64) as f64 - 32.0,
+            4 => (bits as i64) as f64,
+            5 => (bits % 2_000_000) as f64 - 1e6,
+            _ => (bits % 1_000_000_000) as f64 / 1024.0 - 1e5,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(4000))]
+
+        #[test]
+        fn write_json_line_matches_the_value_rendering(
+            kinds in (0u8..7, 0u8..7, 0u8..3),
+            bits in (proptest::arbitrary::any::<u64>(), proptest::arbitrary::any::<u64>()),
+            id in proptest::arbitrary::any::<u64>(),
+            reason in 0usize..3,
+            reserve in proptest::arbitrary::any::<bool>(),
+        ) {
+            let now = wire_float(kinds.0, bits.0);
+            let at = wire_float(kinds.1, bits.1);
+            let id = [0, u64::MAX, id][kinds.2 as usize];
+            let reason = [StartReason::Policy, StartReason::Backfill, StartReason::Starvation][reason];
+            let d = if reserve {
+                Decision::Reserve { idx: 0, id, at }
+            } else {
+                Decision::Start { idx: 0, id, reason, est_end: at }
+            };
+            let oracle = json_line_via_value(&d, now);
+            proptest::prop_assert_eq!(d.json_line(now), oracle.clone());
+            // Appending keeps what the buffer already holds.
+            let mut buf = String::from("prefix\n");
+            d.write_json_line(now, &mut buf);
+            proptest::prop_assert_eq!(buf, format!("prefix\n{oracle}"));
+        }
     }
 
     #[test]
