@@ -498,62 +498,79 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 }
 
 /// A [`SchedObserver`] that streams decisions to a writer in the
-/// canonical JSON-line encoding, one `write_all` per invocation: it
-/// renders an invocation's lines into one reused buffer and writes them
-/// when the backfill pass ends (phases 3–5 of `SchedCore::invoke` make
-/// every decision), so a consumer never sees half an instant and phase
-/// 6's queue cleanup does not delay the write. `on_invocation_end`
-/// writes any remainder. IO failures are latched (the observer hooks
-/// cannot return errors) and surfaced after the run.
+/// canonical JSON-line encoding. Each line is rendered into one reused
+/// buffer and written to `out`; buffering is the writer's job (both
+/// commands hand it a `BufWriter` over stdout). In daemon mode the
+/// stream flushes once per invocation that decided something, when the
+/// backfill pass ends: phases 3–5 of `SchedCore::invoke` make every
+/// decision, so the write does not wait for phase 6's queue cleanup,
+/// and an instant that fits the writer's buffer reaches the consumer in
+/// one write. `on_invocation_end` flushes any remainder. IO failures
+/// are latched (the observer hooks cannot return errors) and returned
+/// by [`DecisionStream::finish`].
 pub(crate) struct DecisionStream<W: Write> {
     pub(crate) out: W,
     pub(crate) io_error: Option<std::io::Error>,
-    /// Flush after each invocation's write — the daemon's mode, where a
-    /// downstream consumer acts on an instant's decisions as they appear.
+    /// Flush after each invocation that decided something — the
+    /// daemon's mode, where a downstream consumer acts on an instant's
+    /// decisions as they appear.
     pub(crate) flush_per_invocation: bool,
-    /// The current invocation's rendered lines, not yet written.
-    pending: String,
+    /// The line being rendered, reused across decisions.
+    line: String,
+    /// Lines were written since the last flush.
+    unflushed: bool,
 }
 
 impl<W: Write> DecisionStream<W> {
     pub(crate) fn new(out: W) -> Self {
-        Self { out, io_error: None, flush_per_invocation: false, pending: String::new() }
+        Self {
+            out,
+            io_error: None,
+            flush_per_invocation: false,
+            line: String::new(),
+            unflushed: false,
+        }
     }
 
-    fn write_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        if self.io_error.is_none() {
-            let result = self.out.write_all(self.pending.as_bytes()).and_then(|()| {
-                if self.flush_per_invocation {
-                    self.out.flush()
-                } else {
-                    Ok(())
-                }
-            });
-            if let Err(e) = result {
+    fn flush_invocation(&mut self) {
+        if self.flush_per_invocation && self.unflushed && self.io_error.is_none() {
+            self.unflushed = false;
+            if let Err(e) = self.out.flush() {
                 self.io_error = Some(e);
             }
         }
-        self.pending.clear();
+    }
+
+    /// Flushes what the writer still buffers and returns the run's
+    /// first IO error, if any.
+    pub(crate) fn finish(mut self) -> Option<std::io::Error> {
+        if self.io_error.is_none() {
+            self.io_error = self.out.flush().err();
+        }
+        self.io_error
     }
 }
 
 impl<W: Write> SchedObserver for DecisionStream<W> {
     fn on_decision(&mut self, now: f64, decision: &Decision) {
-        if self.io_error.is_none() {
-            decision.write_json_line(now, &mut self.pending);
-            self.pending.push('\n');
+        if self.io_error.is_some() {
+            return;
+        }
+        self.line.clear();
+        decision.write_json_line(now, &mut self.line);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.unflushed = true,
+            Err(e) => self.io_error = Some(e),
         }
     }
 
     fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
-        self.write_pending();
+        self.flush_invocation();
     }
 
     fn on_invocation_end(&mut self, _now: f64, _started: usize) {
-        self.write_pending();
+        self.flush_invocation();
     }
 }
 
@@ -759,8 +776,7 @@ fn cmd_replay(args: &Args) -> Result<(), CliError> {
             );
         }
     }
-    stream.out.flush().ok();
-    if let Some(e) = stream.io_error {
+    if let Some(e) = stream.finish() {
         return Err(CliError::Output(format!("cannot write decision stream: {e}")));
     }
     Ok(())
@@ -1167,12 +1183,13 @@ mod tests {
     }
 
     /// Replays the checked-in event fixture into a daemon-mode stream
-    /// over `log`, with an audit observer behind it. Returns the stream
-    /// and the number of invocations that decided something.
+    /// over a `BufWriter` over `log`, as `cmd_serve` builds it, with an
+    /// audit observer behind it. Returns the stream and the number of
+    /// invocations that decided something.
     fn replay_fixture_into(
         log: &std::rc::Rc<std::cell::RefCell<WireLog>>,
-    ) -> (DecisionStream<CountingWriter>, usize) {
-        let mut stream = DecisionStream::new(CountingWriter(log.clone()));
+    ) -> (DecisionStream<std::io::BufWriter<CountingWriter>>, usize) {
+        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
         stream.flush_per_invocation = true;
         let mut audit = InvocationAudit {
             log: log.clone(),
@@ -1205,7 +1222,8 @@ mod tests {
 
         // An invocation that decides nothing writes and flushes nothing.
         let quiet = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
-        let mut stream = DecisionStream::new(CountingWriter(quiet.clone()));
+        let mut stream =
+            DecisionStream::new(std::io::BufWriter::new(CountingWriter(quiet.clone())));
         stream.flush_per_invocation = true;
         stream.on_invocation_begin(1.0, 1, 3);
         stream.on_backfill_pass(1.0, "EASY", 0);
@@ -1225,7 +1243,8 @@ mod tests {
     fn decision_stream_latches_the_first_write_error() {
         let log =
             std::rc::Rc::new(std::cell::RefCell::new(WireLog { fail: true, ..Default::default() }));
-        let mut stream = DecisionStream::new(CountingWriter(log.clone()));
+        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
+        stream.flush_per_invocation = true;
         let start = Decision::Start {
             idx: 0,
             id: 1,
@@ -1238,9 +1257,9 @@ mod tests {
             stream.on_backfill_pass(now, "EASY", 0);
             stream.on_invocation_end(now, 1);
         }
-        let err = stream.io_error.expect("the failed write is latched");
-        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         assert_eq!(log.borrow().writes, 1, "no write is attempted after the error");
+        let err = stream.finish().expect("the failed write is latched");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Reads job events from stdin or a path (each line parsed once, into a
 //! `Value` that classifies it and then becomes the event), emits one
 //! JSON decision per line to stdout, and layers the `bbsched_sched`
-//! durability module over the online replay driver. An invocation's
-//! decisions go out in one write + flush when its backfill pass ends,
-//! so a downstream consumer acts on each instant as soon as it is
-//! decided and never sees half of one. The durability options:
+//! durability module over the online replay driver. Decision lines
+//! collect in a `BufWriter` that is flushed when an invocation's
+//! backfill pass ends, so a downstream consumer acts on each instant as
+//! soon as it is decided, in one write unless the instant outgrows the
+//! buffer. The durability options:
 //!
 //! * `--journal DIR` — every consumed input line is appended to a
 //!   write-ahead journal (fsync'd per line) in `DIR/events.wal`, and
@@ -40,7 +41,7 @@ use bbsched_policies::{GaParams, PolicyKind};
 use bbsched_sched::durability::{Driver, Encoding, Journal, SnapshotStore};
 use bbsched_sched::{JobEvent, ReplaySnapshot, Replayer, SchedConfig, SchedObserver};
 use bbsched_workloads::SystemConfig;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use std::path::Path;
 
 /// A `cli serve` checkpoint: the replayer's state plus the policy
@@ -318,7 +319,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut seen_eof = false;
 
     let stdout = std::io::stdout();
-    let mut stream = DecisionStream::new(stdout.lock());
+    let mut stream = DecisionStream::new(std::io::BufWriter::new(stdout.lock()));
     stream.flush_per_invocation = true;
     let mut stats = (stats_every > 0).then(|| LiveStatsLines::new(stats_every, std::io::stderr()));
 
@@ -494,8 +495,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             eprintln!("warning: stats stream: {e}");
         }
     }
-    stream.out.flush().ok();
-    if let Some(e) = stream.io_error {
+    if let Some(e) = stream.finish() {
         return Err(CliError::Output(format!("cannot write decision stream: {e}")));
     }
     Ok(())

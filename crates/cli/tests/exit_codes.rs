@@ -81,20 +81,22 @@ fn unwritable_output_exits_4() {
     assert_eq!(out.status.code(), Some(4));
 }
 
-#[test]
-fn replay_streams_decisions_for_a_tiny_feed() {
-    // End-to-end smoke: submit two small jobs, finish one, check the
-    // decision stream on stdout and the summary on stderr.
-    let events = "\
+/// Two small jobs submitted, then both finished.
+const TINY_FEED: &str = "\
 {\"type\":\"submit\",\"job\":{\"id\":0,\"submit\":0.0,\"nodes\":1,\"runtime\":50.0,\"walltime\":100.0,\"bb_gb\":0.0,\"ssd_gb_per_node\":0.0,\"deps\":[],\"extra\":[]}}
 {\"type\":\"submit\",\"job\":{\"id\":1,\"submit\":1.0,\"nodes\":1,\"runtime\":50.0,\"walltime\":100.0,\"bb_gb\":0.0,\"ssd_gb_per_node\":0.0,\"deps\":[],\"extra\":[]}}
 {\"type\":\"finish\",\"id\":0,\"time\":50.0}
 {\"type\":\"finish\",\"id\":1,\"time\":51.0}
 ";
+
+#[test]
+fn replay_streams_decisions_for_a_tiny_feed() {
+    // End-to-end smoke: submit two small jobs, finish one, check the
+    // decision stream on stdout and the summary on stderr.
     let dir = std::env::temp_dir().join(format!("bbsched_exit_ok_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("events.jsonl");
-    std::fs::write(&path, events).unwrap();
+    std::fs::write(&path, TINY_FEED).unwrap();
     let out = bbsched(&[
         "replay",
         "--events",
@@ -112,5 +114,27 @@ fn replay_streams_decisions_for_a_tiny_feed() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("replayed 4 events"), "summary on stderr: {stderr}");
     assert!(stderr.contains("2 jobs"), "summary counts jobs: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A decision stream small enough to sit in the output buffer until the
+/// end still reports a failed write: the final flush's error exits 4.
+/// stdout is `/dev/full`, where every write fails.
+#[cfg(target_os = "linux")]
+#[test]
+fn replay_into_a_full_stdout_exits_4() {
+    let dir = std::env::temp_dir().join(format!("bbsched_exit_full_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("events.jsonl");
+    std::fs::write(&path, TINY_FEED).unwrap();
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_bbsched"))
+        .args(["replay", "--events", path.to_str().unwrap(), "--machine", "cori"])
+        .stdout(full)
+        .output()
+        .expect("binary must spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "stderr: {stderr}");
+    assert!(stderr.contains("cannot write decision stream"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,7 +2,7 @@
 //! journaled decision stream matches the golden replay fixture, a
 //! SIGTERM'd daemon recovers with `--recover` to a byte-identical
 //! concatenated stream, live policy hot-swap is journaled and
-//! deterministic, a closed decision stream is reported at exit, and
+//! deterministic, a failed decision stream is reported at exit, and
 //! `snapshot inspect` reports snapshot facts with typed exit codes.
 
 use std::io::Write;
@@ -239,21 +239,22 @@ fn serve_errors_have_the_right_exit_codes() {
     std::fs::remove_dir_all(&dirty).ok();
 }
 
-/// A consumer that hangs up does not stop the daemon mid-input: the
-/// first failed decision write is latched, the rest of the stream is
-/// served, and the daemon exits 4 naming the decision stream.
+/// A decision stream that cannot be written does not stop the daemon
+/// mid-input: the first failed decision write is latched, the rest of
+/// the input is served, and the daemon exits 4 naming the decision
+/// stream. stdout is `/dev/full`, so every write fails (ENOSPC) from
+/// the first one on, whatever the scheduling of the two processes.
+#[cfg(target_os = "linux")]
 #[test]
-fn closed_decision_stream_is_reported_at_exit() {
+fn failed_decision_stream_is_reported_at_exit() {
     let events = ci_dir().join("replay_events.jsonl");
-    let mut child = bbsched()
+    let full = std::fs::OpenOptions::new().write(true).open("/dev/full").unwrap();
+    let out = bbsched()
         .args(["serve", "--events", events.to_str().unwrap()])
         .args(SCENARIO)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("binary must spawn");
-    drop(child.stdout.take()); // the consumer is gone before any decision
-    let out = child.wait_with_output().unwrap();
+        .stdout(Stdio::from(full))
+        .output()
+        .expect("binary must run");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(4), "{stderr}");
     assert!(stderr.contains("served 200 lines"), "{stderr}");

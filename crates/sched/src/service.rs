@@ -105,12 +105,12 @@ impl Decision {
     }
 
     /// Appends the canonical JSON line (no trailing newline) to `out`:
-    /// the fields in wire order, ids as `u64` text, floats under the
-    /// `serde_json` rule (non-finite → `null`, integral with
+    /// the fields in wire order, ids as `u64` text, floats through
+    /// [`serde_json::write_f64`] (non-finite → `null`, integral with
     /// |f| < 1e15 → one decimal, otherwise shortest round-trip).
     pub fn write_json_line(&self, now: f64, out: &mut String) {
         out.push_str("{\"t\":");
-        push_f64(out, now);
+        serde_json::write_f64(out, now);
         match *self {
             Decision::Start { id, reason, est_end, .. } => {
                 let _ = write!(
@@ -118,27 +118,14 @@ impl Decision {
                     ",\"decision\":\"start\",\"job\":{id},\"reason\":\"{}\",\"est_end\":",
                     reason.label()
                 );
-                push_f64(out, est_end);
+                serde_json::write_f64(out, est_end);
             }
             Decision::Reserve { id, at, .. } => {
                 let _ = write!(out, ",\"decision\":\"reserve\",\"job\":{id},\"at\":");
-                push_f64(out, at);
+                serde_json::write_f64(out, at);
             }
         }
         out.push('}');
-    }
-}
-
-/// The vendored `serde_json` float rule, repeated here because that
-/// crate keeps to upstream `serde_json`'s API, which has no float writer.
-/// `write_json_line_matches_the_value_rendering` pins the two together.
-fn push_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e15 {
-        let _ = write!(out, "{f:.1}");
-    } else {
-        let _ = write!(out, "{f}");
     }
 }
 
