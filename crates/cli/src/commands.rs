@@ -6,13 +6,13 @@ use bbsched_metrics::{
     DistributionStats, ForkSummary, MeasurementWindow, MethodSummary, UsageKind,
 };
 use bbsched_policies::{GaParams, PolicyKind, SelectionPolicy};
-use bbsched_sched::durability::{self, Driver, Encoding};
-use bbsched_sched::{Decision, JobEvent, ReplaySnapshot, Replayer, SchedObserver};
+use bbsched_sched::durability;
+use bbsched_sched::{Decision, SchedObserver};
 use bbsched_sim::{
     BackfillAlgorithm, BaseScheduler, DynamicWindow, SimConfig, SimResult, Simulator,
 };
 use bbsched_workloads::{generate, swf, GeneratorConfig, MachineProfile, Trace, Workload};
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Top-level dispatch. The error's [`CliError::exit_code`] becomes the
@@ -23,8 +23,7 @@ pub fn run(args: &Args) -> Result<(), CliError> {
         "stats" => cmd_stats(args),
         "simulate" => cmd_simulate(args),
         "compare" => cmd_compare(args),
-        "replay" => cmd_replay(args),
-        "serve" => crate::serve::cmd_serve(args),
+        "replay" | "serve" => crate::serve::cmd_serve(args),
         "snapshot" => cmd_snapshot(args),
         "timeline" => cmd_timeline(args),
         "gantt" => cmd_gantt(args),
@@ -62,34 +61,28 @@ COMMANDS
              --fork-at T [--warm-policy NAME]  warm one run to virtual
                time T, then branch every roster policy from that snapshot
                (what-if forking; metrics cover the continuations)
-  replay     Drive the scheduler core online from a job-event stream and
-             print one JSON decision per line to stdout (summary on stderr)
+  serve      Drive the scheduler core online from a job-event stream and
+             print one JSON decision per line to stdout (summary on
+             stderr); optionally durable (DESIGN.md \u{a7}13)
              --events PATH|-  --machine cori|theta  --scale F
-             --policy NAME  --gens G  (same scheduler knobs as simulate)
-             Checkpointed replay (DESIGN.md \u{a7}12):
-             --checkpoint PATH [--checkpoint-every N]  write a resumable
-               snapshot (every N fed events, and on --stop-after)
-             --checkpoint-encoding json|binary  (default json)
-             --stop-after N   stop after feeding N events (no final flush)
-             --resume PATH    continue from a checkpoint in a fresh
-               process; the first events-fed lines of --events are skipped
-             Events (one JSON object per line):
-               {\"type\":\"submit\",\"job\":{...}} | {\"type\":\"finish\",\"id\":N,\"time\":T}
-  serve      Long-running scheduler daemon: journaled events, rolling
-             snapshots, crash recovery, live policy hot-swap (DESIGN.md \u{a7}13)
-             --events PATH|-  (same scheduler knobs as replay for a
-               fresh start)
+             --policy NAME  --gens G  (same scheduler knobs as simulate;
+               a fresh start only)
              --journal DIR          write-ahead journal + snapshots here
              --snapshot-every N     rolling snapshot every N input lines
              --snapshot-retain K    keep the newest K snapshots (default 3)
              --snapshot-format json|binary  (default binary)
              --recover DIR          resume from DIR's newest valid
                snapshot + journal tail, then continue with --events
+             --stop-after N         end after N input lines as SIGTERM
+               does (N >= 1)
              --stats-every N        JSON stats line to stderr every N
                scheduling invocations
+             Events (one JSON object per line):
+               {\"type\":\"submit\",\"job\":{...}} | {\"type\":\"finish\",\"id\":N,\"time\":T}
              Control events (journaled, replayed on recovery):
                {\"type\":\"set-policy\",\"name\":\"Baseline\"}
              SIGTERM drains gracefully: final snapshot, then exit 0.
+  replay     Alias of serve.
   snapshot   Inspect checkpoint/snapshot files without loading a core
              snapshot inspect FILE   print schema version, encoding,
                invocations, queue depth, running jobs
@@ -210,8 +203,8 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The scheduler knobs shared by `simulate`, `compare`, `replay`, and
-/// `serve`.
+/// The scheduler knobs shared by `simulate`, `compare` and `serve`
+/// (alias `replay`).
 pub(crate) const SCHED_ARGS: &[&str] = &[
     "base",
     "window",
@@ -499,10 +492,9 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 
 /// A [`SchedObserver`] that streams decisions to a writer in the
 /// canonical JSON-line encoding. Each line is rendered into one reused
-/// buffer and written to `out`; buffering is the writer's job (both
-/// commands hand it a `BufWriter` over stdout). In daemon mode the
-/// stream flushes once per invocation that decided something, when the
-/// backfill pass ends: phases 3–5 of `SchedCore::invoke` make every
+/// buffer and written to `out`; buffering is the writer's job (`serve`
+/// hands it a `BufWriter` over stdout). The stream flushes once per
+/// invocation that decided something, when the backfill pass ends: phases 3–5 of `SchedCore::invoke` make every
 /// decision, so the write does not wait for phase 6's queue cleanup,
 /// and an instant that fits the writer's buffer reaches the consumer in
 /// one write. `on_invocation_end` flushes any remainder. IO failures
@@ -511,10 +503,6 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
 pub(crate) struct DecisionStream<W: Write> {
     pub(crate) out: W,
     pub(crate) io_error: Option<std::io::Error>,
-    /// Flush after each invocation that decided something — the
-    /// daemon's mode, where a downstream consumer acts on an instant's
-    /// decisions as they appear.
-    pub(crate) flush_per_invocation: bool,
     /// The line being rendered, reused across decisions.
     line: String,
     /// Lines were written since the last flush.
@@ -523,17 +511,11 @@ pub(crate) struct DecisionStream<W: Write> {
 
 impl<W: Write> DecisionStream<W> {
     pub(crate) fn new(out: W) -> Self {
-        Self {
-            out,
-            io_error: None,
-            flush_per_invocation: false,
-            line: String::new(),
-            unflushed: false,
-        }
+        Self { out, io_error: None, line: String::new(), unflushed: false }
     }
 
     fn flush_invocation(&mut self) {
-        if self.flush_per_invocation && self.unflushed && self.io_error.is_none() {
+        if self.unflushed && self.io_error.is_none() {
             self.unflushed = false;
             if let Err(e) = self.out.flush() {
                 self.io_error = Some(e);
@@ -572,214 +554,6 @@ impl<W: Write> SchedObserver for DecisionStream<W> {
     fn on_invocation_end(&mut self, _now: f64, _started: usize) {
         self.flush_invocation();
     }
-}
-
-/// A `cli replay` checkpoint file: the replayer's [`ReplaySnapshot`]
-/// plus the policy identity and GA hyper-parameters needed to rebuild
-/// the policy object in the resuming process (a policy is a trait object
-/// the snapshot itself cannot carry).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub(crate) struct ReplayCheckpoint {
-    pub(crate) replay: ReplaySnapshot,
-    pub(crate) policy: PolicyKind,
-    pub(crate) ga: GaParams,
-}
-
-/// [`Driver`] view of a replayer plus the policy identity its
-/// checkpoint must carry — the adapter that routes `cli replay
-/// --checkpoint` through the durability layer's single write path.
-struct ReplayDriver<'a, 'o> {
-    replayer: &'a Replayer<'o>,
-    policy: PolicyKind,
-    ga: GaParams,
-}
-
-impl Driver for ReplayDriver<'_, '_> {
-    type Snapshot = ReplayCheckpoint;
-
-    fn snapshot(&self) -> ReplayCheckpoint {
-        ReplayCheckpoint { replay: self.replayer.snapshot(), policy: self.policy, ga: self.ga }
-    }
-
-    fn position(&self) -> u64 {
-        self.replayer.events_fed()
-    }
-}
-
-/// Writes a replay checkpoint through [`durability::write_checkpoint`]
-/// (atomic temp + fsync + rename; the pre-durability path skipped the
-/// fsync, so a power cut could surface an empty rename target).
-fn write_replay_checkpoint(
-    driver: &ReplayDriver<'_, '_>,
-    path: &str,
-    encoding: Encoding,
-) -> Result<(), CliError> {
-    durability::write_checkpoint(driver, Path::new(path), encoding)
-        .map_err(|e| CliError::Output(format!("cannot write checkpoint '{path}': {e}")))
-}
-
-fn read_replay_checkpoint(path: &str) -> Result<ReplayCheckpoint, CliError> {
-    durability::read_checkpoint(Path::new(path))
-        .map(|(ckpt, _)| ckpt)
-        .map_err(|e| CliError::Input(format!("cannot read checkpoint '{path}': {e}")))
-}
-
-fn cmd_replay(args: &Args) -> Result<(), CliError> {
-    let mut known = vec![
-        "events",
-        "machine",
-        "scale",
-        "policy",
-        "gens",
-        "seed",
-        "threads",
-        "checkpoint",
-        "checkpoint-every",
-        "checkpoint-encoding",
-        "resume",
-        "stop-after",
-    ];
-    known.extend_from_slice(SCHED_ARGS);
-    args.check_known(&known)?;
-    let checkpoint_path = args.get("checkpoint");
-    let checkpoint_encoding: Encoding =
-        args.get_or("checkpoint-encoding", "json").parse().map_err(CliError::Usage)?;
-    let checkpoint_every: Option<u64> = match args.get("checkpoint-every") {
-        None => None,
-        Some(_) => {
-            if checkpoint_path.is_none() {
-                return Err(CliError::Usage(
-                    "--checkpoint-every needs --checkpoint PATH".to_string(),
-                ));
-            }
-            let every: u64 = args.get_parsed("checkpoint-every", 0u64)?;
-            if every == 0 {
-                return Err(CliError::Usage("--checkpoint-every must be >= 1".to_string()));
-            }
-            Some(every)
-        }
-    };
-    let stop_after: Option<u64> = match args.get("stop-after") {
-        None => None,
-        Some(_) => Some(args.get_parsed("stop-after", 0u64)?),
-    };
-
-    // A fresh run builds everything from flags; a resumed run rebuilds
-    // everything from the checkpoint (system, configuration, policy and
-    // its cross-invocation state all come from the snapshot — scheduler
-    // flags are not consulted).
-    let resume = match args.get("resume") {
-        Some(path) => Some(read_replay_checkpoint(path)?),
-        None => None,
-    };
-
-    let path = args.require("events")?;
-    let reader: Box<dyn BufRead> = if path == "-" {
-        Box::new(std::io::stdin().lock())
-    } else {
-        let file = std::fs::File::open(path)
-            .map_err(|e| CliError::Input(format!("cannot open '{path}': {e}")))?;
-        Box::new(std::io::BufReader::new(file))
-    };
-
-    let stdout = std::io::stdout();
-    let mut stream = DecisionStream::new(std::io::BufWriter::new(stdout.lock()));
-    {
-        let (mut replayer, kind, ga, skip) = match resume {
-            Some(ckpt) => {
-                let policy = ckpt.policy.build(ckpt.ga);
-                let skip = ckpt.replay.events_fed;
-                let replayer = Replayer::restore(ckpt.replay, policy, vec![&mut stream])
-                    .map_err(|e| CliError::Run(format!("cannot resume: {e}")))?;
-                eprintln!("resumed from checkpoint at event {skip}");
-                (replayer, ckpt.policy, ckpt.ga, skip)
-            }
-            None => {
-                let scale: f64 = args.get_parsed("scale", 0.05)?;
-                let machine = parse_machine(args.get_or("machine", "theta"))?;
-                let profile = if (scale - 1.0).abs() < f64::EPSILON {
-                    machine
-                } else {
-                    machine.scaled(scale)
-                };
-                let kind = parse_policy(args.get_or("policy", "BBSched"))?;
-                let cfg = sim_config(args, &profile)?.sched();
-                let ga = GaParams {
-                    generations: args.get_parsed("gens", 500usize)?,
-                    base_seed: args.get_parsed("seed", 7u64)?,
-                    threads: parse_threads(args)?,
-                    ..GaParams::default()
-                };
-                let replayer =
-                    Replayer::new(&profile.system, cfg, kind.build(ga), vec![&mut stream])
-                        .map_err(|e| CliError::Run(e.to_string()))?;
-                (replayer, kind, ga, 0)
-            }
-        };
-
-        let mut events = 0u64; // events seen in the stream, fed or skipped
-        let mut stopped = false;
-        for (n, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| CliError::Input(format!("{path} line {}: {e}", n + 1)))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            events += 1;
-            if events <= skip {
-                continue; // already applied before the checkpoint
-            }
-            let event = JobEvent::parse(&line)
-                .map_err(|e| CliError::Input(format!("{path} line {}: {e}", n + 1)))?;
-            replayer
-                .feed(event)
-                .map_err(|e| CliError::Run(format!("{path} line {}: {e}", n + 1)))?;
-            if let (Some(every), Some(ckpt_path)) = (checkpoint_every, checkpoint_path) {
-                if replayer.events_fed() % every == 0 {
-                    let driver = ReplayDriver { replayer: &replayer, policy: kind, ga };
-                    write_replay_checkpoint(&driver, ckpt_path, checkpoint_encoding)?;
-                }
-            }
-            if stop_after.is_some_and(|limit| replayer.events_fed() >= limit) {
-                stopped = true;
-                break;
-            }
-        }
-
-        if stopped {
-            // Stop *without* flushing the pending batch: the continuation
-            // (via --resume) owns every decision from here on, so the
-            // concatenated decision streams of the two processes equal
-            // the uninterrupted run byte for byte.
-            if let Some(ckpt_path) = checkpoint_path {
-                let driver = ReplayDriver { replayer: &replayer, policy: kind, ga };
-                write_replay_checkpoint(&driver, ckpt_path, checkpoint_encoding)?;
-                eprintln!(
-                    "stopped after {} events; checkpoint written to {ckpt_path}",
-                    replayer.events_fed()
-                );
-            } else {
-                eprintln!("stopped after {} events", replayer.events_fed());
-            }
-        } else {
-            let fed = replayer.events_fed();
-            let summary = replayer.finish().map_err(|e| CliError::Run(e.to_string()))?;
-            eprintln!(
-                "replayed {fed} events ({skip} skipped): {} jobs ({} clamped), {} finishes, \
-                 {} invocations, makespan {:.1} s, left {} waiting / {} running",
-                summary.jobs,
-                summary.clamped_jobs,
-                summary.finishes,
-                summary.invocations,
-                summary.makespan,
-                summary.left_waiting,
-                summary.left_running
-            );
-        }
-    }
-    if let Some(e) = stream.finish() {
-        return Err(CliError::Output(format!("cannot write decision stream: {e}")));
-    }
-    Ok(())
 }
 
 /// `snapshot inspect FILE`: shallow facts about a checkpoint/snapshot
@@ -887,6 +661,7 @@ fn cmd_gantt(args: &Args) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bbsched_sched::{JobEvent, Replayer};
 
     #[test]
     fn parsers_accept_paper_names() {
@@ -1190,7 +965,6 @@ mod tests {
         log: &std::rc::Rc<std::cell::RefCell<WireLog>>,
     ) -> (DecisionStream<std::io::BufWriter<CountingWriter>>, usize) {
         let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
-        stream.flush_per_invocation = true;
         let mut audit = InvocationAudit {
             log: log.clone(),
             before: (0, 0, 0),
@@ -1224,7 +998,6 @@ mod tests {
         let quiet = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
         let mut stream =
             DecisionStream::new(std::io::BufWriter::new(CountingWriter(quiet.clone())));
-        stream.flush_per_invocation = true;
         stream.on_invocation_begin(1.0, 1, 3);
         stream.on_backfill_pass(1.0, "EASY", 0);
         stream.on_invocation_end(1.0, 0);
@@ -1244,7 +1017,6 @@ mod tests {
         let log =
             std::rc::Rc::new(std::cell::RefCell::new(WireLog { fail: true, ..Default::default() }));
         let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
-        stream.flush_per_invocation = true;
         let start = Decision::Start {
             idx: 0,
             id: 1,

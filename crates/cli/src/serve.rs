@@ -1,4 +1,6 @@
-//! `cli serve` — the long-running scheduler daemon.
+//! `cli serve` — the long-running scheduler daemon, also run as `cli
+//! replay` (one function behind both names: the same flags, the same
+//! stdout).
 //!
 //! Reads job events from stdin or a path (each line parsed once, into a
 //! `Value` that classifies it and then becomes the event), emits one
@@ -22,7 +24,9 @@
 //! * SIGTERM — graceful drain: a final snapshot at the exact consumed
 //!   position, no final flush, exit 0. A `--recover` restart then owns
 //!   every remaining decision, so the concatenated decision streams of
-//!   the two processes equal the uninterrupted run byte for byte.
+//!   the two processes equal the uninterrupted run byte for byte;
+//! * `--stop-after N` — the same drain after N consumed input lines, a
+//!   deterministic cut point for tests and CI.
 //!
 //! Recovery *re-derives* decisions: replaying the journal tail emits
 //! the decisions it implies. After a graceful SIGTERM the tail is empty
@@ -38,7 +42,7 @@ use crate::commands::{
 use crate::error::CliError;
 use bbsched_metrics::LiveStatsLines;
 use bbsched_policies::{GaParams, PolicyKind};
-use bbsched_sched::durability::{Driver, Encoding, Journal, SnapshotStore};
+use bbsched_sched::durability::{Encoding, Journal, SnapshotStore};
 use bbsched_sched::{JobEvent, ReplaySnapshot, Replayer, SchedConfig, SchedObserver};
 use bbsched_workloads::SystemConfig;
 use std::io::BufRead;
@@ -56,29 +60,9 @@ struct DaemonCheckpoint {
     consumed: u64,
 }
 
-/// [`Driver`] view of the daemon: position is the consumed-line
-/// counter, so snapshot names line up with journal record counts.
-struct DaemonDriver<'a, 'o> {
-    replayer: &'a Replayer<'o>,
-    policy: PolicyKind,
-    ga: GaParams,
-    consumed: u64,
-}
-
-impl Driver for DaemonDriver<'_, '_> {
-    type Snapshot = DaemonCheckpoint;
-
-    fn snapshot(&self) -> DaemonCheckpoint {
-        DaemonCheckpoint {
-            replay: self.replayer.snapshot(),
-            policy: self.policy,
-            ga: self.ga,
-            consumed: self.consumed,
-        }
-    }
-
-    fn position(&self) -> u64 {
-        self.consumed
+impl DaemonCheckpoint {
+    fn new(replayer: &Replayer<'_>, policy: PolicyKind, ga: GaParams, consumed: u64) -> Self {
+        Self { replay: replayer.snapshot(), policy, ga, consumed }
     }
 }
 
@@ -153,9 +137,11 @@ struct Durable {
 }
 
 impl Durable {
-    fn save(&self, driver: &DaemonDriver<'_, '_>) -> Result<(), CliError> {
+    /// Saves `ckpt` into the rolling store, named by its consumed-line
+    /// position so snapshot names line up with journal record counts.
+    fn save(&self, ckpt: &DaemonCheckpoint) -> Result<(), CliError> {
         self.store
-            .save(driver.position(), &driver.snapshot(), self.encoding)
+            .save(ckpt.consumed, ckpt, self.encoding)
             .map_err(|e| CliError::Output(format!("cannot write snapshot: {e}")))?;
         Ok(())
     }
@@ -169,6 +155,8 @@ enum SegmentEnd {
     Eof,
     /// SIGTERM: final snapshot, no flush.
     Term,
+    /// `--stop-after` reached: as [`SegmentEnd::Term`].
+    StopAfter,
 }
 
 /// `cli serve` entry point.
@@ -186,6 +174,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         "snapshot-every",
         "snapshot-retain",
         "snapshot-format",
+        "stop-after",
         "stats-every",
     ];
     known.extend_from_slice(SCHED_ARGS);
@@ -196,6 +185,13 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let encoding: Encoding =
         args.get_or("snapshot-format", "binary").parse().map_err(CliError::Usage)?;
     let stats_every: u64 = args.get_parsed("stats-every", 0u64)?;
+    let stop_after: Option<u64> = match args.get("stop-after") {
+        None => None,
+        Some(_) => match args.get_parsed("stop-after", 0u64)? {
+            0 => return Err(CliError::Usage("--stop-after must be >= 1".to_string())),
+            n => Some(n),
+        },
+    };
     let recover_dir = args.get("recover");
     // --recover implies journaling into the same directory.
     let journal_dir = args.get("journal").or(recover_dir);
@@ -320,7 +316,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
 
     let stdout = std::io::stdout();
     let mut stream = DecisionStream::new(std::io::BufWriter::new(stdout.lock()));
-    stream.flush_per_invocation = true;
     let mut stats = (stats_every > 0).then(|| LiveStatsLines::new(stats_every, std::io::stderr()));
 
     // Each hot-swap ends a *segment*: the replayer (which borrows the
@@ -349,13 +344,16 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         };
         if let Some(d) = &durable {
             if !segment_checkpointed {
-                d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
+                d.save(&DaemonCheckpoint::new(&replayer, kind, ga, consumed))?;
             }
         }
 
         let end: SegmentEnd = 'lines: loop {
             if term::requested() {
                 break 'lines SegmentEnd::Term;
+            }
+            if stop_after.is_some_and(|n| consumed >= n) {
+                break 'lines SegmentEnd::StopAfter;
             }
             // Journal tail first (replayed without re-journaling), then
             // the live stream.
@@ -393,7 +391,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
             };
 
             match classify_line(&line)
-                .map_err(|e| CliError::Input(format!("input line {consumed}: {e}")))?
+                .map_err(|e| CliError::Input(format!("input line {}: {e}", consumed + 1)))?
             {
                 ServeLine::SetPolicy(new_kind) => {
                     if live {
@@ -424,12 +422,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                     if live {
                         if let Some(d) = &durable {
                             if d.snapshot_every > 0 && consumed.is_multiple_of(d.snapshot_every) {
-                                d.save(&DaemonDriver {
-                                    replayer: &replayer,
-                                    policy: kind,
-                                    ga,
-                                    consumed,
-                                })?;
+                                d.save(&DaemonCheckpoint::new(&replayer, kind, ga, consumed))?;
                             }
                         }
                     }
@@ -454,15 +447,16 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 segment_checkpointed = !tail.is_empty();
                 continue 'segments;
             }
-            SegmentEnd::Term => {
+            end @ (SegmentEnd::Term | SegmentEnd::StopAfter) => {
+                let how = match end {
+                    SegmentEnd::Term => format!("sigterm: drained at line {consumed}"),
+                    _ => format!("stopped after {consumed} lines"),
+                };
                 if let Some(d) = &durable {
-                    d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
-                    eprintln!(
-                        "sigterm: drained at line {consumed}; final snapshot written (recover \
-                         with --recover)"
-                    );
+                    d.save(&DaemonCheckpoint::new(&replayer, kind, ga, consumed))?;
+                    eprintln!("{how}; final snapshot written (recover with --recover)");
                 } else {
-                    eprintln!("sigterm: drained at line {consumed} (no journal directory)");
+                    eprintln!("{how} (no journal directory)");
                 }
                 break 'segments;
             }
@@ -470,7 +464,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 if let Some(d) = &durable {
                     // Pre-flush state: recovering a completed run
                     // re-derives the final flush (see module docs).
-                    d.save(&DaemonDriver { replayer: &replayer, policy: kind, ga, consumed })?;
+                    d.save(&DaemonCheckpoint::new(&replayer, kind, ga, consumed))?;
                 }
                 let fed = replayer.events_fed();
                 let summary = replayer.finish().map_err(|e| CliError::Run(e.to_string()))?;

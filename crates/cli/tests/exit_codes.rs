@@ -52,6 +52,22 @@ fn malformed_event_stream_exits_3() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A parse error names the 1-based number of the bad input line.
+#[test]
+fn serve_names_the_bad_input_line() {
+    let dir = std::env::temp_dir().join(format!("bbsched_exit_l4_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("bad_fourth.jsonl");
+    let mut feed: String = TINY_FEED.lines().take(3).map(|l| format!("{l}\n")).collect();
+    feed.push_str("{\"type\":\"launch\"}\n");
+    std::fs::write(&path, feed).unwrap();
+    let out = bbsched(&["serve", "--events", path.to_str().unwrap(), "--machine", "cori"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("input line 4:"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn time_regressing_event_stream_exits_1() {
     let dir = std::env::temp_dir().join(format!("bbsched_exit_tr_{}", std::process::id()));
@@ -112,7 +128,7 @@ fn replay_streams_decisions_for_a_tiny_feed() {
     assert_eq!(starts.len(), 2, "both jobs must start: {stdout}");
     assert!(stdout.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("replayed 4 events"), "summary on stderr: {stderr}");
+    assert!(stderr.contains("served 4 lines (4 job events)"), "summary on stderr: {stderr}");
     assert!(stderr.contains("2 jobs"), "summary counts jobs: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,10 @@
 //! `ci/replay_expected.jsonl`).
 //!
 //! CI pipes the event file through `bbsched replay --machine cori
-//! --scale 0.05 --policy Baseline` and diffs stdout against the expected
-//! stream, pinning the whole path binary → event parser → service core →
-//! decision wire format. The non-ignored test here keeps the fixtures
+//! --scale 0.05 --policy Baseline` (an alias of `bbsched serve`) and
+//! diffs stdout against the expected stream, pinning the whole path
+//! binary → event parser → service core → decision wire format; the
+//! daemon's own two-process checks live in `serve_daemon.rs`. The non-ignored test here keeps the fixtures
 //! honest under plain `cargo test`; the `#[ignore]`d one regenerates them
 //! after an intentional behavior change:
 //!
@@ -112,90 +113,23 @@ fn regenerate_replay_fixtures() {
     std::fs::write(ci_dir().join("replay_expected.jsonl"), expected).unwrap();
 }
 
-/// Checkpointed replay across a real process boundary: a head process
-/// feeds the fixture stream up to a cut, writes a checkpoint and stops
-/// without flushing; a second process resumes from the checkpoint file
-/// and drains the rest. The concatenated decision streams must equal the
-/// golden fixture byte for byte — at an early, a middle, and a last-event
-/// cut point.
-#[test]
-fn checkpoint_resume_across_processes_matches_the_golden_stream() {
-    let events = ci_dir().join("replay_events.jsonl");
-    let events = events.to_str().unwrap();
-    let expected = std::fs::read_to_string(ci_dir().join("replay_expected.jsonl")).unwrap();
-    let dir = std::env::temp_dir().join(format!("bbsched_ckpt_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join("ckpt.json");
-    let ckpt = ckpt.to_str().unwrap();
-
-    for cut in ["1", "100", "199"] {
-        let head = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
-            .args([
-                "replay",
-                "--events",
-                events,
-                "--machine",
-                "cori",
-                "--scale",
-                "0.05",
-                "--policy",
-                "Baseline",
-                "--checkpoint",
-                ckpt,
-                "--stop-after",
-                cut,
-            ])
-            .output()
-            .expect("binary must spawn");
-        assert!(
-            head.status.success(),
-            "head (cut {cut}) failed: {}",
-            String::from_utf8_lossy(&head.stderr)
-        );
-        let tail = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
-            .args(["replay", "--events", events, "--resume", ckpt])
-            .output()
-            .expect("binary must spawn");
-        assert!(
-            tail.status.success(),
-            "tail (cut {cut}) failed: {}",
-            String::from_utf8_lossy(&tail.stderr)
-        );
-        let mut combined = String::from_utf8(head.stdout).unwrap();
-        combined.push_str(&String::from_utf8(tail.stdout).unwrap());
-        assert_eq!(combined, expected, "cut at event {cut} diverges from the golden stream");
-        let stderr = String::from_utf8_lossy(&tail.stderr);
-        assert!(stderr.contains(&format!("resumed from checkpoint at event {cut}")), "{stderr}");
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Checkpoint-flag misuse is a usage error (exit 2); an unreadable or
-/// corrupt checkpoint is an input error (exit 3).
+/// `replay` is an alias of `serve`: the checkpoint flags it once had
+/// are unknown options, and `--stop-after` must be at least 1. Each is a
+/// usage error (exit 2).
 #[test]
 fn checkpoint_flag_errors_have_the_right_exit_codes() {
     let events = ci_dir().join("replay_events.jsonl");
     let events = events.to_str().unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
-        .args(["replay", "--events", events, "--machine", "cori", "--checkpoint-every", "5"])
-        .output()
-        .expect("binary must spawn");
-    assert_eq!(out.status.code(), Some(2), "--checkpoint-every without --checkpoint is usage");
-
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
-        .args(["replay", "--events", events, "--resume", "/nonexistent/ckpt.json"])
-        .output()
-        .expect("binary must spawn");
-    assert_eq!(out.status.code(), Some(3), "missing checkpoint file is an input error");
-
-    let dir = std::env::temp_dir().join(format!("bbsched_ckpt_bad_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let bad = dir.join("bad.json");
-    std::fs::write(&bad, "{\"not\":\"a checkpoint\"}").unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
-        .args(["replay", "--events", events, "--resume", bad.to_str().unwrap()])
-        .output()
-        .expect("binary must spawn");
-    assert_eq!(out.status.code(), Some(3), "corrupt checkpoint is an input error");
-    std::fs::remove_dir_all(&dir).ok();
+    for (command, flag, value) in [
+        ("replay", "--checkpoint", "x"),
+        ("replay", "--resume", "x"),
+        ("replay", "--checkpoint-every", "5"),
+        ("serve", "--stop-after", "0"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bbsched"))
+            .args([command, "--events", events, "--machine", "cori", flag, value])
+            .output()
+            .expect("binary must spawn");
+        assert_eq!(out.status.code(), Some(2), "{command} {flag} {value} is a usage error");
+    }
 }

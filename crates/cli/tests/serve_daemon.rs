@@ -1,8 +1,8 @@
 //! Process-level tests for the `serve` daemon (DESIGN.md §13): the
 //! journaled decision stream matches the golden replay fixture, a
 //! SIGTERM'd daemon recovers with `--recover` to a byte-identical
-//! concatenated stream, live policy hot-swap is journaled and
-//! deterministic, a failed decision stream is reported at exit, and
+//! concatenated stream, so does a `--stop-after` cut, live policy
+//! hot-swap is journaled and deterministic, a failed decision stream is reported at exit, and
 //! `snapshot inspect` reports snapshot facts with typed exit codes.
 
 use std::io::Write;
@@ -144,6 +144,47 @@ fn sigterm_drain_then_recover_is_byte_identical() {
     combined.push_str(&String::from_utf8(tail.stdout).unwrap());
     assert_eq!(combined, fixture_expected(), "head + recovered tail diverge from golden stream");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deterministic cut: a journaling daemon stops after `cut` input
+/// lines (final snapshot, no flush), then a second process recovers the
+/// directory and serves the rest of the fixture file. head + tail must
+/// equal the golden stream byte for byte at the first line, mid-stream,
+/// the last line but one, and the last line.
+#[test]
+fn stop_after_then_recover_matches_the_golden_stream() {
+    let events = ci_dir().join("replay_events.jsonl");
+    let events = events.to_str().unwrap();
+    for cut in ["1", "100", "199", "200"] {
+        let dir = tempdir(&format!("stop_{cut}"));
+        let journal = dir.to_str().unwrap();
+        let head = bbsched()
+            .args(["serve", "--events", events])
+            .args(SCENARIO)
+            .args(["--journal", journal, "--snapshot-every", "40", "--stop-after", cut])
+            .output()
+            .expect("binary must spawn");
+        let head_err = String::from_utf8_lossy(&head.stderr);
+        assert!(head.status.success(), "head (cut {cut}) failed: {head_err}");
+        assert!(head_err.contains(&format!("stopped after {cut} lines")), "{head_err}");
+
+        let tail = bbsched()
+            .args(["serve", "--events", events, "--recover", journal])
+            .output()
+            .expect("binary must spawn");
+        let tail_err = String::from_utf8_lossy(&tail.stderr);
+        assert!(tail.status.success(), "tail (cut {cut}) failed: {tail_err}");
+        assert!(tail_err.contains(&format!("recovered: snapshot at line {cut}")), "{tail_err}");
+
+        let mut combined = String::from_utf8(head.stdout).unwrap();
+        combined.push_str(&String::from_utf8(tail.stdout).unwrap());
+        assert_eq!(
+            combined,
+            fixture_expected(),
+            "cut at line {cut} diverges from the golden stream"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// A live `set-policy` control event swaps the policy deterministically

@@ -1,9 +1,9 @@
-//! Durable checkpointing: a write-ahead event journal, rolling
-//! snapshots, and the [`Driver`] trait they are written against.
+//! Durable checkpointing: a write-ahead event journal and rolling
+//! snapshots.
 //!
 //! PR 7 made every driver's state explicit ([`crate::CoreSnapshot`],
 //! [`crate::ReplaySnapshot`], the engine snapshot); this module makes
-//! that state *durable*. Three pieces compose (DESIGN.md §13):
+//! that state *durable*. Two pieces compose (DESIGN.md §13):
 //!
 //! * [`Journal`] — an append-only write-ahead log of wire lines
 //!   (fsync'd per [`Journal::sync`]). The on-disk format is a magic
@@ -15,10 +15,6 @@
 //!   written atomically (temp file + fsync + rename + directory fsync)
 //!   and pruned to the newest K. [`SnapshotStore::load_newest`] falls
 //!   back to older snapshots when the newest is unreadable.
-//! * [`Driver`] — the narrow trait every checkpointable driver
-//!   implements ([`crate::Replayer`], the simulator engine, the `cli
-//!   serve` daemon), so checkpoint writing is one generic code path
-//!   instead of per-driver plumbing.
 //!
 //! Crash recovery composes them: newest valid snapshot + replay of the
 //! journal tail reproduces the uninterrupted run's state — and, because
@@ -689,79 +685,6 @@ impl SnapshotStore {
 }
 
 // ---------------------------------------------------------------------
-// The Driver trait
-// ---------------------------------------------------------------------
-
-/// A checkpointable stream driver: anything that can capture its
-/// complete state and name its position in the stream it consumes.
-///
-/// Implemented by [`crate::Replayer`] (position = events fed), the
-/// simulator engine (position = invocations run), and the `cli serve`
-/// daemon (position = input lines consumed), so checkpoint writing —
-/// [`write_checkpoint`], [`Checkpointer`] — is one generic path.
-pub trait Driver {
-    /// The driver's complete serializable state.
-    type Snapshot: Serialize + Deserialize;
-
-    /// Captures the driver's complete state.
-    fn snapshot(&self) -> Self::Snapshot;
-
-    /// Monotone progress counter: names rolling snapshots and decides
-    /// checkpoint cadence.
-    fn position(&self) -> u64;
-}
-
-/// Writes a driver's checkpoint to a single file, atomically and
-/// durably ([`atomic_write`]) — the one write path every checkpointing
-/// command routes through.
-pub fn write_checkpoint<D: Driver>(driver: &D, path: &Path, encoding: Encoding) -> io::Result<()> {
-    atomic_write(path, &to_bytes(&driver.snapshot(), encoding))
-}
-
-/// Reads a checkpoint file written by [`write_checkpoint`] (either
-/// encoding; negotiated by magic bytes).
-pub fn read_checkpoint<T: Deserialize>(path: &Path) -> io::Result<(T, Encoding)> {
-    let bytes = fs::read(path)?;
-    from_bytes(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// Rolling-checkpoint policy against the [`Driver`] trait: every
-/// `every` positions, save the driver's snapshot into the store.
-pub struct Checkpointer {
-    store: SnapshotStore,
-    every: u64,
-    encoding: Encoding,
-}
-
-impl Checkpointer {
-    /// A checkpointer saving into `store` every `every` positions
-    /// (0 = only on explicit [`Checkpointer::save_now`] calls).
-    pub fn new(store: SnapshotStore, every: u64, encoding: Encoding) -> Self {
-        Self { store, every, encoding }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
-    }
-
-    /// Saves the driver's snapshot unconditionally.
-    pub fn save_now<D: Driver>(&self, driver: &D) -> io::Result<PathBuf> {
-        self.store.save(driver.position(), &driver.snapshot(), self.encoding)
-    }
-
-    /// Saves when the driver's position hits the cadence.
-    pub fn maybe_save<D: Driver>(&self, driver: &D) -> io::Result<Option<PathBuf>> {
-        let pos = driver.position();
-        if self.every > 0 && pos > 0 && pos.is_multiple_of(self.every) {
-            self.save_now(driver).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Cheap inspection
 // ---------------------------------------------------------------------
 
@@ -842,6 +765,7 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SchedError> {
     let kind = if map_get(top, "consumed").is_some() && map_get(top, "replay").is_some() {
         "daemon checkpoint"
     } else if map_get(top, "replay").is_some() {
+        // Written by `cli replay --checkpoint` in earlier builds.
         "replay checkpoint"
     } else if map_get(top, "finish_events").is_some() {
         "engine snapshot"

@@ -48,9 +48,8 @@
 //!   versioned JSON wire encoding behind [`SchedCore::snapshot`],
 //!   [`SchedCore::restore`], and [`SchedCore::fork`] (DESIGN.md §12);
 //! * [`durability`] — the crash-safety layer: the [`Journal`]
-//!   write-ahead log, rolling [`SnapshotStore`] checkpoints, the
-//!   [`Driver`] trait the drivers implement, and the binary snapshot
-//!   encoding negotiated alongside JSON (DESIGN.md §13).
+//!   write-ahead log, rolling [`SnapshotStore`] checkpoints, and the
+//!   binary snapshot encoding negotiated alongside JSON (DESIGN.md §13).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -82,8 +81,7 @@ pub use base_sched::BaseScheduler;
 pub use clamp::clamp_demand;
 pub use config::{BackfillAlgorithm, BackfillScope, DynamicWindow, SchedConfig};
 pub use durability::{
-    Checkpointer, Driver, Encoding, Journal, JournalRecovery, LoadedSnapshot, SnapshotInfo,
-    SnapshotStore,
+    Encoding, Journal, JournalRecovery, LoadedSnapshot, SnapshotInfo, SnapshotStore,
 };
 pub use error::SchedError;
 pub use jobset::JobSet;

@@ -192,9 +192,9 @@ pub struct ReplaySummary {
 /// A checkpoint of a [`Replayer`] mid-stream: the core's complete
 /// [`crate::CoreSnapshot`] plus the driver's own position in the event stream.
 /// Serializes through the same versioned JSON conventions (the nested
-/// core snapshot carries the schema version); `cli replay` writes one
-/// with `--checkpoint` and resumes from one — in a fresh process — with
-/// `--resume`.
+/// core snapshot carries the schema version); the `cli serve` daemon
+/// wraps one in each of its rolling snapshots and recovers from it in a
+/// fresh process.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ReplaySnapshot {
     /// The scheduler core's complete cross-invocation state.
@@ -405,20 +405,6 @@ impl<'o> Replayer<'o> {
         self.core.invoke(now);
         self.last_flushed = now;
         Ok(())
-    }
-}
-
-impl crate::durability::Driver for Replayer<'_> {
-    type Snapshot = ReplaySnapshot;
-
-    fn snapshot(&self) -> ReplaySnapshot {
-        Replayer::snapshot(self)
-    }
-
-    /// Position in the event stream = events fed: a checkpoint at
-    /// position N resumes by skipping the stream's first N events.
-    fn position(&self) -> u64 {
-        self.events_fed
     }
 }
 

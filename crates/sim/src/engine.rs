@@ -310,21 +310,6 @@ impl<'o> Engine<'o> {
     }
 }
 
-impl bbsched_sched::Driver for Engine<'_> {
-    type Snapshot = EngineSnapshot;
-
-    fn snapshot(&self) -> EngineSnapshot {
-        Engine::snapshot(self)
-    }
-
-    /// Position in virtual time = scheduling invocations run (the
-    /// engine consumes a derived arrival stream, not a wire stream, so
-    /// invocations are its natural progress counter).
-    fn position(&self) -> u64 {
-        self.core.invocations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
