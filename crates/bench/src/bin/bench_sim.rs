@@ -29,7 +29,8 @@ use bbsched_core::problem::JobDemand;
 use bbsched_policies::{GaParams, PolicyKind};
 use bbsched_sched::{AvailabilityProfile, Decision, JobEvent, SchedConfig, SchedCore, StartReason};
 use bbsched_sim::{BackfillAlgorithm, BackfillScope, BaseScheduler, SimConfig, Simulator};
-use bbsched_workloads::{generate, swf, GeneratorConfig, Job, MachineProfile, Trace};
+use bbsched_workloads::synthetic::add_ssd;
+use bbsched_workloads::{generate, swf, GeneratorConfig, Job, MachineProfile, SsdMix, Trace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -255,11 +256,30 @@ fn main() {
                 sim.run(PolicyKind::Baseline.build(GaParams::default())).records.len()
             });
         }
+        // Flavoured variant (§5 case study): per-node SSDs in two
+        // flavours keep the profile's packed per-segment states, so the
+        // skyline walk answers the conservative planner's queries.
+        let ssd_trace = add_ssd(&t, SsdMix::S6, 77);
+        let ssd_system = profile.system.clone().with_ssd_split();
+        let cfg = SimConfig {
+            backfill_algorithm: BackfillAlgorithm::Conservative,
+            backfill: BackfillScope::Queue,
+            ..SimConfig::default()
+        };
+        push(
+            &format!("simulate_large/{big_label}_ssd_conservative_fcfs"),
+            big_samples,
+            0.0,
+            &mut || {
+                let sim = Simulator::new(&ssd_system, &ssd_trace, cfg.clone()).unwrap();
+                sim.run(PolicyKind::Baseline.build(GaParams::default())).records.len()
+            },
+        );
     }
 
     // --- profile_ops: availability-profile query/reserve micro-benches ---
-    // Isolates the hierarchical profile index from the simulator: build an
-    // S-segment profile (S-1 staggered releases on a large machine), then
+    // Isolates the profile's column scan (the machine is pooled) from the
+    // simulator: build an S-segment profile (S-1 staggered releases), then
     // time `earliest_start` probes and `reserve_earliest` bookings
     // (query, then carve at the found ranks) directly. Runs
     // in both modes at both sizes — the ops are microseconds either way,

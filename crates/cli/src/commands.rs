@@ -7,12 +7,10 @@ use bbsched_metrics::{
 };
 use bbsched_policies::{GaParams, PolicyKind, SelectionPolicy};
 use bbsched_sched::durability;
-use bbsched_sched::{Decision, SchedObserver};
 use bbsched_sim::{
     BackfillAlgorithm, BaseScheduler, DynamicWindow, SimConfig, SimResult, Simulator,
 };
 use bbsched_workloads::{generate, swf, GeneratorConfig, MachineProfile, Trace, Workload};
-use std::io::Write;
 use std::path::Path;
 
 /// Top-level dispatch. The error's [`CliError::exit_code`] becomes the
@@ -52,7 +50,7 @@ COMMANDS
              --trace PATH | (--machine + --jobs [--workload])
              --machine cori|theta  --scale F  --policy NAME  --gens G
              --window N  --starvation-bound N  --threads T
-             --backfill easy|conservative|conservative-rebuild
+             --backfill easy|conservative
              --backfill-scope window|queue
              --dynamic-window MIN,MAX,FRAC  [--out result.json]
   compare    Run the full §4.3 roster on one workload and print the grid
@@ -205,16 +203,8 @@ fn cmd_stats(args: &Args) -> Result<(), CliError> {
 
 /// The scheduler knobs shared by `simulate`, `compare` and `serve`
 /// (alias `replay`).
-pub(crate) const SCHED_ARGS: &[&str] = &[
-    "base",
-    "window",
-    "starvation-bound",
-    "backfill",
-    "backfill-scope",
-    "dynamic-window",
-    "conservative",
-    "queue-backfill",
-];
+pub(crate) const SCHED_ARGS: &[&str] =
+    &["base", "window", "starvation-bound", "backfill", "backfill-scope", "dynamic-window"];
 
 /// Loads a saved [`SimResult`] JSON file.
 fn load_result(path: &str) -> Result<SimResult, CliError> {
@@ -253,32 +243,15 @@ pub(crate) fn sim_config(args: &Args, machine: &MachineProfile) -> Result<SimCon
     cfg.window.size = args.get_parsed("window", cfg.window.size)?;
     cfg.window.starvation_bound =
         args.get_parsed("starvation-bound", cfg.window.starvation_bound)?;
-    // `--backfill easy|conservative` is the canonical spelling;
-    // `--conservative` stays as a legacy alias.
-    cfg.backfill_algorithm = match args.get("backfill") {
-        Some(b) if b.eq_ignore_ascii_case("easy") => BackfillAlgorithm::Easy,
-        Some(b) if b.eq_ignore_ascii_case("conservative") => BackfillAlgorithm::Conservative,
-        // The frozen rebuild-per-pass reference path (bit-identical
-        // schedules, pre-incremental cost) — for profiling comparisons.
-        Some(b) if b.eq_ignore_ascii_case("conservative-rebuild") => {
-            BackfillAlgorithm::ConservativeRebuild
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown backfill algorithm '{other}' (easy|conservative|conservative-rebuild)"
-            ))
-        }
-        None if args.flag("conservative") => BackfillAlgorithm::Conservative,
-        None => BackfillAlgorithm::Easy,
+    cfg.backfill_algorithm = match args.get_or("backfill", "easy") {
+        b if b.eq_ignore_ascii_case("easy") => BackfillAlgorithm::Easy,
+        b if b.eq_ignore_ascii_case("conservative") => BackfillAlgorithm::Conservative,
+        other => return Err(format!("unknown backfill algorithm '{other}' (easy|conservative)")),
     };
-    // `--backfill-scope window|queue`; `--queue-backfill` is the legacy
-    // alias for the queue scope.
-    cfg.backfill = match args.get("backfill-scope") {
-        Some(s) if s.eq_ignore_ascii_case("window") => bbsched_sim::BackfillScope::Window,
-        Some(s) if s.eq_ignore_ascii_case("queue") => bbsched_sim::BackfillScope::Queue,
-        Some(other) => return Err(format!("unknown backfill scope '{other}' (window|queue)")),
-        None if args.flag("queue-backfill") => bbsched_sim::BackfillScope::Queue,
-        None => bbsched_sim::BackfillScope::Window,
+    cfg.backfill = match args.get_or("backfill-scope", "window") {
+        s if s.eq_ignore_ascii_case("window") => bbsched_sim::BackfillScope::Window,
+        s if s.eq_ignore_ascii_case("queue") => bbsched_sim::BackfillScope::Queue,
+        other => return Err(format!("unknown backfill scope '{other}' (window|queue)")),
     };
     if let Some(spec) = args.get("dynamic-window") {
         cfg.dynamic_window = Some(parse_dynamic_window(spec)?);
@@ -490,72 +463,6 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A [`SchedObserver`] that streams decisions to a writer in the
-/// canonical JSON-line encoding. Each line is rendered into one reused
-/// buffer and written to `out`; buffering is the writer's job (`serve`
-/// hands it a `BufWriter` over stdout). The stream flushes once per
-/// invocation that decided something, when the backfill pass ends: phases 3–5 of `SchedCore::invoke` make every
-/// decision, so the write does not wait for phase 6's queue cleanup,
-/// and an instant that fits the writer's buffer reaches the consumer in
-/// one write. `on_invocation_end` flushes any remainder. IO failures
-/// are latched (the observer hooks cannot return errors) and returned
-/// by [`DecisionStream::finish`].
-pub(crate) struct DecisionStream<W: Write> {
-    pub(crate) out: W,
-    pub(crate) io_error: Option<std::io::Error>,
-    /// The line being rendered, reused across decisions.
-    line: String,
-    /// Lines were written since the last flush.
-    unflushed: bool,
-}
-
-impl<W: Write> DecisionStream<W> {
-    pub(crate) fn new(out: W) -> Self {
-        Self { out, io_error: None, line: String::new(), unflushed: false }
-    }
-
-    fn flush_invocation(&mut self) {
-        if self.unflushed && self.io_error.is_none() {
-            self.unflushed = false;
-            if let Err(e) = self.out.flush() {
-                self.io_error = Some(e);
-            }
-        }
-    }
-
-    /// Flushes what the writer still buffers and returns the run's
-    /// first IO error, if any.
-    pub(crate) fn finish(mut self) -> Option<std::io::Error> {
-        if self.io_error.is_none() {
-            self.io_error = self.out.flush().err();
-        }
-        self.io_error
-    }
-}
-
-impl<W: Write> SchedObserver for DecisionStream<W> {
-    fn on_decision(&mut self, now: f64, decision: &Decision) {
-        if self.io_error.is_some() {
-            return;
-        }
-        self.line.clear();
-        decision.write_json_line(now, &mut self.line);
-        self.line.push('\n');
-        match self.out.write_all(self.line.as_bytes()) {
-            Ok(()) => self.unflushed = true,
-            Err(e) => self.io_error = Some(e),
-        }
-    }
-
-    fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
-        self.flush_invocation();
-    }
-
-    fn on_invocation_end(&mut self, _now: f64, _started: usize) {
-        self.flush_invocation();
-    }
-}
-
 /// `snapshot inspect FILE`: shallow facts about a checkpoint/snapshot
 /// file — schema version, encoding, invocation count, queue depth,
 /// running jobs — read from the value tree without ever constructing a
@@ -661,7 +568,6 @@ fn cmd_gantt(args: &Args) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbsched_sched::{JobEvent, Replayer};
 
     #[test]
     fn parsers_accept_paper_names() {
@@ -793,13 +699,20 @@ mod tests {
         );
     }
 
+    /// The removed spellings `--conservative`, `--queue-backfill` and
+    /// `--backfill conservative-rebuild` are usage errors.
     #[test]
-    fn legacy_backfill_flags_still_work() {
-        let profile = MachineProfile::cori();
-        let args = Args::parse(["simulate", "--conservative", "--queue-backfill"]).unwrap();
-        let cfg = sim_config(&args, &profile).unwrap();
-        assert_eq!(cfg.backfill_algorithm, BackfillAlgorithm::Conservative);
-        assert_eq!(cfg.backfill, bbsched_sim::BackfillScope::Queue);
+    fn removed_backfill_spellings_are_usage_errors() {
+        for flag in ["--conservative", "--queue-backfill"] {
+            let args = Args::parse(["simulate", flag]).unwrap();
+            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{flag} is an unknown option");
+        }
+        let args = Args::parse(["simulate", "--backfill", "conservative-rebuild"]).unwrap();
+        let cfg = sim_config(&args, &MachineProfile::cori()).map_err(CliError::from);
+        assert!(
+            matches!(cfg, Err(CliError::Usage(_))),
+            "conservative-rebuild is no algorithm name"
+        );
     }
 
     #[test]
@@ -881,157 +794,6 @@ mod tests {
         assert!(run(&args).is_err());
         let args = Args::parse(["stats", "--trase", "x"]).unwrap();
         assert!(run(&args).is_err());
-    }
-
-    /// Counts `write` and `flush` calls on a [`DecisionStream`]'s writer
-    /// and keeps the written bytes; `fail` turns every write into an
-    /// error.
-    #[derive(Default)]
-    struct WireLog {
-        writes: usize,
-        flushes: usize,
-        bytes: Vec<u8>,
-        fail: bool,
-    }
-
-    struct CountingWriter(std::rc::Rc<std::cell::RefCell<WireLog>>);
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let mut log = self.0.borrow_mut();
-            log.writes += 1;
-            if log.fail {
-                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reader gone"));
-            }
-            log.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            self.0.borrow_mut().flushes += 1;
-            Ok(())
-        }
-    }
-
-    /// Attached after the stream: checks, per invocation, that the
-    /// stream issued exactly one write + flush by the end of the
-    /// backfill pass when the invocation decided anything (none when it
-    /// did not), that those bytes are the decisions' `json_line`s, and
-    /// that phase 6 wrote nothing more.
-    struct InvocationAudit {
-        log: std::rc::Rc<std::cell::RefCell<WireLog>>,
-        before: (usize, usize, usize),
-        lines: String,
-        deciding: usize,
-    }
-
-    impl InvocationAudit {
-        fn counts(&self) -> (usize, usize, usize) {
-            let log = self.log.borrow();
-            (log.writes, log.flushes, log.bytes.len())
-        }
-    }
-
-    impl SchedObserver for InvocationAudit {
-        fn on_invocation_begin(&mut self, _now: f64, _invocation: u64, _queue_len: usize) {
-            self.before = self.counts();
-            self.lines.clear();
-        }
-
-        fn on_decision(&mut self, now: f64, decision: &Decision) {
-            self.lines.push_str(&decision.json_line(now));
-            self.lines.push('\n');
-        }
-
-        fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
-            let (w, f, b) = self.before;
-            let calls = usize::from(!self.lines.is_empty());
-            assert_eq!(self.counts(), (w + calls, f + calls, b + self.lines.len()));
-            assert_eq!(&self.log.borrow().bytes[b..], self.lines.as_bytes());
-            self.deciding += calls;
-            self.before = self.counts();
-        }
-
-        fn on_invocation_end(&mut self, _now: f64, _started: usize) {
-            assert_eq!(self.counts(), self.before, "phase 6 makes no decisions");
-        }
-    }
-
-    /// Replays the checked-in event fixture into a daemon-mode stream
-    /// over a `BufWriter` over `log`, as `cmd_serve` builds it, with an
-    /// audit observer behind it. Returns the stream and the number of
-    /// invocations that decided something.
-    fn replay_fixture_into(
-        log: &std::rc::Rc<std::cell::RefCell<WireLog>>,
-    ) -> (DecisionStream<std::io::BufWriter<CountingWriter>>, usize) {
-        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
-        let mut audit = InvocationAudit {
-            log: log.clone(),
-            before: (0, 0, 0),
-            lines: String::new(),
-            deciding: 0,
-        };
-        let profile = parse_machine("cori").unwrap().scaled(0.05);
-        let cfg = bbsched_sched::SchedConfig::default();
-        {
-            let observers: Vec<&mut dyn SchedObserver> = vec![&mut stream, &mut audit];
-            let policy = PolicyKind::Baseline.build(GaParams::default());
-            let mut replayer = Replayer::new(&profile.system, cfg, policy, observers).unwrap();
-            for line in include_str!("../../../ci/replay_events.jsonl").lines() {
-                replayer.feed(JobEvent::parse(line).unwrap()).unwrap();
-            }
-            replayer.finish().unwrap();
-        }
-        (stream, audit.deciding)
-    }
-
-    #[test]
-    fn decision_stream_writes_once_per_deciding_invocation() {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
-        let (stream, deciding) = replay_fixture_into(&log);
-        assert!(stream.io_error.is_none());
-        assert!(deciding > 50, "the fixture decides in many invocations ({deciding})");
-        let log = log.borrow();
-        assert_eq!((log.writes, log.flushes), (deciding, deciding));
-
-        // An invocation that decides nothing writes and flushes nothing.
-        let quiet = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
-        let mut stream =
-            DecisionStream::new(std::io::BufWriter::new(CountingWriter(quiet.clone())));
-        stream.on_invocation_begin(1.0, 1, 3);
-        stream.on_backfill_pass(1.0, "EASY", 0);
-        stream.on_invocation_end(1.0, 0);
-        assert_eq!((quiet.borrow().writes, quiet.borrow().flushes), (0, 0));
-    }
-
-    #[test]
-    fn decision_stream_bytes_equal_the_json_line_stream() {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
-        replay_fixture_into(&log);
-        let expected = include_str!("../../../ci/replay_expected.jsonl");
-        assert_eq!(String::from_utf8(log.borrow().bytes.clone()).unwrap(), expected);
-    }
-
-    #[test]
-    fn decision_stream_latches_the_first_write_error() {
-        let log =
-            std::rc::Rc::new(std::cell::RefCell::new(WireLog { fail: true, ..Default::default() }));
-        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
-        let start = Decision::Start {
-            idx: 0,
-            id: 1,
-            reason: bbsched_sched::StartReason::Policy,
-            est_end: 9.0,
-        };
-        for now in [1.0, 2.0] {
-            stream.on_invocation_begin(now, 1, 1);
-            stream.on_decision(now, &start);
-            stream.on_backfill_pass(now, "EASY", 0);
-            stream.on_invocation_end(now, 1);
-        }
-        assert_eq!(log.borrow().writes, 1, "no write is attempted after the error");
-        let err = stream.finish().expect("the failed write is latched");
-        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -36,16 +36,14 @@
 //! the `recovered:` stderr marker (DESIGN.md §13).
 
 use crate::args::Args;
-use crate::commands::{
-    parse_machine, parse_policy, parse_threads, sim_config, DecisionStream, SCHED_ARGS,
-};
+use crate::commands::{parse_machine, parse_policy, parse_threads, sim_config, SCHED_ARGS};
 use crate::error::CliError;
 use bbsched_metrics::LiveStatsLines;
 use bbsched_policies::{GaParams, PolicyKind};
 use bbsched_sched::durability::{Encoding, Journal, SnapshotStore};
-use bbsched_sched::{JobEvent, ReplaySnapshot, Replayer, SchedConfig, SchedObserver};
+use bbsched_sched::{Decision, JobEvent, ReplaySnapshot, Replayer, SchedConfig, SchedObserver};
 use bbsched_workloads::SystemConfig;
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 /// A `cli serve` checkpoint: the replayer's state plus the policy
@@ -99,6 +97,72 @@ mod term {
 
     pub(super) fn requested() -> bool {
         false
+    }
+}
+
+/// A [`SchedObserver`] that streams decisions to a writer in the
+/// canonical JSON-line encoding. Each line is rendered into one reused
+/// buffer and written to `out`; buffering is the writer's job (`serve`
+/// hands it a `BufWriter` over stdout). The stream flushes once per
+/// invocation that decided something, when the backfill pass ends:
+/// phases 3–5 of `SchedCore::invoke` make every decision, so the write
+/// does not wait for phase 6's queue cleanup, and an instant that fits
+/// the writer's buffer reaches the consumer in one write. `on_invocation_end` flushes any remainder. IO failures
+/// are latched (the observer hooks cannot return errors) and returned
+/// by [`DecisionStream::finish`].
+struct DecisionStream<W: Write> {
+    out: W,
+    io_error: Option<std::io::Error>,
+    /// The line being rendered, reused across decisions.
+    line: String,
+    /// Lines were written since the last flush.
+    unflushed: bool,
+}
+
+impl<W: Write> DecisionStream<W> {
+    fn new(out: W) -> Self {
+        Self { out, io_error: None, line: String::new(), unflushed: false }
+    }
+
+    fn flush_invocation(&mut self) {
+        if self.unflushed && self.io_error.is_none() {
+            self.unflushed = false;
+            if let Err(e) = self.out.flush() {
+                self.io_error = Some(e);
+            }
+        }
+    }
+
+    /// Flushes what the writer still buffers and returns the run's
+    /// first IO error, if any.
+    fn finish(mut self) -> Option<std::io::Error> {
+        if self.io_error.is_none() {
+            self.io_error = self.out.flush().err();
+        }
+        self.io_error
+    }
+}
+
+impl<W: Write> SchedObserver for DecisionStream<W> {
+    fn on_decision(&mut self, now: f64, decision: &Decision) {
+        if self.io_error.is_some() {
+            return;
+        }
+        self.line.clear();
+        decision.write_json_line(now, &mut self.line);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
+            Ok(()) => self.unflushed = true,
+            Err(e) => self.io_error = Some(e),
+        }
+    }
+
+    fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
+        self.flush_invocation();
+    }
+
+    fn on_invocation_end(&mut self, _now: f64, _started: usize) {
+        self.flush_invocation();
     }
 }
 
@@ -311,7 +375,8 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         Box::new(std::io::BufReader::new(file))
     };
     let mut input = reader.lines();
-    let mut input_line = 0u64; // non-empty lines pulled from --events
+    let mut input_line = 0u64; // physical lines read from --events, blank ones too
+    let mut nonblank = 0u64; // the journal's numbering, which `skip_lines` counts in
     let mut seen_eof = false;
 
     let stdout = std::io::stdout();
@@ -356,27 +421,28 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 break 'lines SegmentEnd::StopAfter;
             }
             // Journal tail first (replayed without re-journaling), then
-            // the live stream.
-            let (line, live) = match tail.pop_front() {
-                Some(line) => (line, false),
+            // the live stream, whose lines carry their physical number.
+            let (line, live_line) = match tail.pop_front() {
+                Some(line) => (line, None),
                 None if seen_eof => break 'lines SegmentEnd::Eof,
                 None => {
                     let mut next = None;
                     for read in input.by_ref() {
                         let read = read
                             .map_err(|e| CliError::Input(format!("cannot read '{path}': {e}")))?;
+                        input_line += 1;
                         if read.trim().is_empty() {
                             continue;
                         }
-                        input_line += 1;
-                        if input_line <= skip_lines {
+                        nonblank += 1;
+                        if nonblank <= skip_lines {
                             continue; // already journaled and applied
                         }
                         next = Some(read);
                         break;
                     }
                     match next {
-                        Some(line) => (line, true),
+                        Some(line) => (line, Some(input_line)),
                         None => {
                             seen_eof = true;
                             // A TERM that raced the final reads still
@@ -390,9 +456,12 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                 }
             };
 
-            match classify_line(&line)
-                .map_err(|e| CliError::Input(format!("input line {}: {e}", consumed + 1)))?
-            {
+            let live = live_line.is_some();
+            let at = || match live_line {
+                Some(n) => format!("input line {n}"),
+                None => format!("journal record {}", consumed + 1),
+            };
+            match classify_line(&line).map_err(|e| CliError::Input(format!("{}: {e}", at())))? {
                 ServeLine::SetPolicy(new_kind) => {
                     if live {
                         if let Some(d) = &mut durable {
@@ -408,9 +477,7 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
                     // Apply, then journal: a rejected event (time
                     // regression, duplicate id) is a fatal input error
                     // and must never poison the journal for recovery.
-                    replayer
-                        .feed(event)
-                        .map_err(|e| CliError::Run(format!("input line {}: {e}", consumed + 1)))?;
+                    replayer.feed(event).map_err(|e| CliError::Run(format!("{}: {e}", at())))?;
                     if live {
                         if let Some(d) = &mut durable {
                             d.journal.append_sync(line.as_bytes()).map_err(|e| {
@@ -499,6 +566,157 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Counts `write` and `flush` calls on a [`DecisionStream`]'s writer
+    /// and keeps the written bytes; `fail` turns every write into an
+    /// error.
+    #[derive(Default)]
+    struct WireLog {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+        fail: bool,
+    }
+
+    struct CountingWriter(std::rc::Rc<std::cell::RefCell<WireLog>>);
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let mut log = self.0.borrow_mut();
+            log.writes += 1;
+            if log.fail {
+                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "reader gone"));
+            }
+            log.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.borrow_mut().flushes += 1;
+            Ok(())
+        }
+    }
+
+    /// Attached after the stream: checks, per invocation, that the
+    /// stream issued exactly one write + flush by the end of the
+    /// backfill pass when the invocation decided anything (none when it
+    /// did not), that those bytes are the decisions' `json_line`s, and
+    /// that phase 6 wrote nothing more.
+    struct InvocationAudit {
+        log: std::rc::Rc<std::cell::RefCell<WireLog>>,
+        before: (usize, usize, usize),
+        lines: String,
+        deciding: usize,
+    }
+
+    impl InvocationAudit {
+        fn counts(&self) -> (usize, usize, usize) {
+            let log = self.log.borrow();
+            (log.writes, log.flushes, log.bytes.len())
+        }
+    }
+
+    impl SchedObserver for InvocationAudit {
+        fn on_invocation_begin(&mut self, _now: f64, _invocation: u64, _queue_len: usize) {
+            self.before = self.counts();
+            self.lines.clear();
+        }
+
+        fn on_decision(&mut self, now: f64, decision: &Decision) {
+            self.lines.push_str(&decision.json_line(now));
+            self.lines.push('\n');
+        }
+
+        fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {
+            let (w, f, b) = self.before;
+            let calls = usize::from(!self.lines.is_empty());
+            assert_eq!(self.counts(), (w + calls, f + calls, b + self.lines.len()));
+            assert_eq!(&self.log.borrow().bytes[b..], self.lines.as_bytes());
+            self.deciding += calls;
+            self.before = self.counts();
+        }
+
+        fn on_invocation_end(&mut self, _now: f64, _started: usize) {
+            assert_eq!(self.counts(), self.before, "phase 6 makes no decisions");
+        }
+    }
+
+    /// Replays the checked-in event fixture into a daemon-mode stream
+    /// over a `BufWriter` over `log`, as `cmd_serve` builds it, with an
+    /// audit observer behind it. Returns the stream and the number of
+    /// invocations that decided something.
+    fn replay_fixture_into(
+        log: &std::rc::Rc<std::cell::RefCell<WireLog>>,
+    ) -> (DecisionStream<std::io::BufWriter<CountingWriter>>, usize) {
+        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
+        let mut audit = InvocationAudit {
+            log: log.clone(),
+            before: (0, 0, 0),
+            lines: String::new(),
+            deciding: 0,
+        };
+        let profile = parse_machine("cori").unwrap().scaled(0.05);
+        let cfg = bbsched_sched::SchedConfig::default();
+        {
+            let observers: Vec<&mut dyn SchedObserver> = vec![&mut stream, &mut audit];
+            let policy = PolicyKind::Baseline.build(GaParams::default());
+            let mut replayer = Replayer::new(&profile.system, cfg, policy, observers).unwrap();
+            for line in include_str!("../../../ci/replay_events.jsonl").lines() {
+                replayer.feed(JobEvent::parse(line).unwrap()).unwrap();
+            }
+            replayer.finish().unwrap();
+        }
+        (stream, audit.deciding)
+    }
+
+    #[test]
+    fn decision_stream_writes_once_per_deciding_invocation() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        let (stream, deciding) = replay_fixture_into(&log);
+        assert!(stream.io_error.is_none());
+        assert!(deciding > 50, "the fixture decides in many invocations ({deciding})");
+        let log = log.borrow();
+        assert_eq!((log.writes, log.flushes), (deciding, deciding));
+
+        // An invocation that decides nothing writes and flushes nothing.
+        let quiet = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        let mut stream =
+            DecisionStream::new(std::io::BufWriter::new(CountingWriter(quiet.clone())));
+        stream.on_invocation_begin(1.0, 1, 3);
+        stream.on_backfill_pass(1.0, "EASY", 0);
+        stream.on_invocation_end(1.0, 0);
+        assert_eq!((quiet.borrow().writes, quiet.borrow().flushes), (0, 0));
+    }
+
+    #[test]
+    fn decision_stream_bytes_equal_the_json_line_stream() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(WireLog::default()));
+        replay_fixture_into(&log);
+        let expected = include_str!("../../../ci/replay_expected.jsonl");
+        assert_eq!(String::from_utf8(log.borrow().bytes.clone()).unwrap(), expected);
+    }
+
+    #[test]
+    fn decision_stream_latches_the_first_write_error() {
+        let log =
+            std::rc::Rc::new(std::cell::RefCell::new(WireLog { fail: true, ..Default::default() }));
+        let mut stream = DecisionStream::new(std::io::BufWriter::new(CountingWriter(log.clone())));
+        let start = Decision::Start {
+            idx: 0,
+            id: 1,
+            reason: bbsched_sched::StartReason::Policy,
+            est_end: 9.0,
+        };
+        for now in [1.0, 2.0] {
+            stream.on_invocation_begin(now, 1, 1);
+            stream.on_decision(now, &start);
+            stream.on_backfill_pass(now, "EASY", 0);
+            stream.on_invocation_end(now, 1);
+        }
+        assert_eq!(log.borrow().writes, 1, "no write is attempted after the error");
+        let err = stream.finish().expect("the failed write is latched");
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    }
 
     /// The fixture's event lines plus two control lines.
     fn corpus() -> Vec<String> {

@@ -52,19 +52,26 @@ fn malformed_event_stream_exits_3() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A parse error names the 1-based number of the bad input line.
+/// A parse error names the 1-based physical number of the bad input
+/// line, blank lines included.
 #[test]
 fn serve_names_the_bad_input_line() {
     let dir = std::env::temp_dir().join(format!("bbsched_exit_l4_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bad_fourth.jsonl");
-    let mut feed: String = TINY_FEED.lines().take(3).map(|l| format!("{l}\n")).collect();
-    feed.push_str("{\"type\":\"launch\"}\n");
-    std::fs::write(&path, feed).unwrap();
-    let out = bbsched(&["serve", "--events", path.to_str().unwrap(), "--machine", "cori"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "{stderr}");
-    assert!(stderr.contains("input line 4:"), "{stderr}");
+    let first = TINY_FEED.lines().next().unwrap();
+    let three: String = TINY_FEED.lines().take(3).map(|l| format!("{l}\n")).collect();
+    let feeds = [
+        ("bad_fourth.jsonl", format!("{three}{{\"type\":\"launch\"}}\n"), "input line 4:"),
+        ("bad_after_blank.jsonl", format!("{first}\n\n{{\"type\":\"launch\"}}\n"), "input line 3:"),
+    ];
+    for (name, feed, want) in feeds {
+        let path = dir.join(name);
+        std::fs::write(&path, feed).unwrap();
+        let out = bbsched(&["serve", "--events", path.to_str().unwrap(), "--machine", "cori"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{name}: {stderr}");
+        assert!(stderr.contains(want), "{name}: want '{want}', got {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

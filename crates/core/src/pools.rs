@@ -542,29 +542,6 @@ impl PoolState {
         out
     }
 
-    /// Component-wise maximum of two free slices of this machine: the
-    /// *upper envelope* of availability. Because [`PoolState::free_fits`]
-    /// is monotone in every free component (more free nodes, pooled
-    /// resource, or flavour nodes never makes a demand stop fitting), a
-    /// demand that fails against the maximum fails against **both**
-    /// inputs — the pruning dual of [`PoolState::free_component_min`],
-    /// used by the profile tree to skip whole all-blocking runs.
-    pub fn free_component_max(&self, a: &FreeState, b: &FreeState) -> FreeState {
-        let mut out = *a;
-        out.free = a.free.component_max(&b.free);
-        if self.topo.per_node.is_some() {
-            let mut sum = 0u32;
-            for k in 0..self.topo.flavors.len() {
-                out.flavor_free[k] = a.flavor_free[k].max(b.flavor_free[k]);
-                sum += out.flavor_free[k];
-            }
-            // Per-pool maxima can only widen the nodes == Σ flavour pools
-            // sum, keeping the node count an upper bound of both inputs.
-            out.free.set(0, f64::from(sum));
-        }
-        out
-    }
-
     /// Releases an allocation made by [`PoolState::alloc`].
     pub fn free(&mut self, d: &JobDemand, asn: NodeAssignment) {
         for r in 1..self.topo.len {

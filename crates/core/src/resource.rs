@@ -133,20 +133,6 @@ impl ResourceVector {
         }
         out
     }
-
-    /// Component-wise maximum.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    #[inline]
-    pub fn component_max(&self, other: &Self) -> Self {
-        assert_eq!(self.len, other.len);
-        let mut out = *self;
-        for r in 0..self.len {
-            out.values[r] = out.values[r].max(other.values[r]);
-        }
-        out
-    }
 }
 
 /// One capacity flavour of a per-node resource: `count` nodes each carrying

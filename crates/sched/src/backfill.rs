@@ -46,12 +46,10 @@
 //!   (no per-node flavours) store the segments' free counters only as
 //!   per-resource columns and answer `fits_interval`/`earliest_start`
 //!   with a branchless SIMD-friendly chunk scan; machines with
-//!   flavoured per-node resources store packed per-segment states and,
-//!   at `TREE_MIN_SEGMENTS`-plus segments, use a balanced tree
-//!   (`crate::tree`) with per-resource minimum subtree aggregates to
-//!   locate the first blocking segment in O(log S). The linear walk
-//!   (suffix-minima skyline accelerated on flavoured machines) remains
-//!   the debug-build oracle for both;
+//!   flavoured per-node resources store packed per-segment states and
+//!   answer every query with the linear walk, accelerated by a
+//!   suffix-minima skyline. The walk is also the scan's debug-build
+//!   oracle;
 //! * a **rank-carrying candidate step** — each conservative candidate is
 //!   one query and one carve at the same slot: the dominance memo hands
 //!   the query the rank of the boundary it starts from, the column scan
@@ -69,7 +67,6 @@
 
 use crate::alloc::{AllocLedger, LedgerDelta, RunningJob};
 use crate::error::SchedError;
-use crate::tree::ProfileTree;
 use bbsched_core::pools::{FreeState, NodeAssignment, PoolState, FIT_EPS};
 use bbsched_core::problem::JobDemand;
 use bbsched_core::resource::MAX_RESOURCES;
@@ -1059,38 +1056,26 @@ impl ReleaseMirror {
 ///   so they live in the template alone.
 /// * **Packed states** (flavoured machines): a 64-byte [`FreeState`] per
 ///   segment in `frees`, which the flavour-pool fit check
-///   ([`PoolState::free_fits`]), the skyline and the tree read.
+///   ([`PoolState::free_fits`]) and the skyline read.
 ///
 /// Full `PoolState`s are materialized only at the API boundary
 /// (`state_at`, `states`, `snapshot`) by stamping the segment's free
 /// counters onto the template, so the snapshot wire format does not
 /// depend on the layout.
 ///
-/// Queries dispatch to one of three evaluators, picked per machine
-/// shape and segment count:
+/// Queries dispatch to one of two evaluators, picked by the layout:
 ///
 /// * **Column scan** (column-stored profiles): the fit test over a run
 ///   of segments is a branchless 8-wide chunked compare per resource
 ///   column (`scan_fail_mask8`, compiled to SIMD), with window
 ///   boundaries checked once per chunk rather than once per candidate.
-/// * **Hierarchical tree** (flavoured machines at
-///   `TREE_MIN_SEGMENTS`-plus segments): a balanced `ProfileTree`
-///   with per-resource minimum subtree aggregates answers
-///   `earliest_start` in a single traversal that visits every node at
-///   most once and `fits_interval` via "first blocking segment at or
-///   after rank i" in O(log S), maintained through reservations
-///   (`insert_boundary` inserts, `carve` refreshes a rank range). On pooled
-///   machines the scan beats it — its subtree pruning degenerates to
-///   near-linear visit counts with worse constants — so they never
-///   build it (measured; see DESIGN.md §10).
-/// * **Linear walk** (small flavoured profiles, and the oracle): the
+/// * **Linear walk** (packed-state profiles, and the scan's oracle): the
 ///   sequential segment walk, with the suffix-minima skyline (O(1)
 ///   accept once the remaining tail fits) on packed-state profiles.
 ///
-/// The scan, tree, and skyline are acceleration indexes only — results
-/// never depend on which evaluator answered, and debug builds
-/// cross-check every scan and tree answer against the frozen
-/// linear-scan queries
+/// The scan and skyline are acceleration indexes only — results never
+/// depend on which evaluator answered, and debug builds cross-check
+/// every scan answer against the frozen linear-walk queries
 /// ([`AvailabilityProfile::fits_interval_linear`],
 /// [`AvailabilityProfile::earliest_start_linear`]).
 #[derive(Clone, Debug)]
@@ -1109,11 +1094,6 @@ pub struct AvailabilityProfile {
     /// pools and unmodelled slots complete every segment's state; its
     /// modelled free amounts are never read.
     machine: PoolState,
-    /// Hierarchical min index over `frees`; in-order rank `i` is
-    /// `frees[i]`. Engaged only at or above `TREE_MIN_SEGMENTS` segments
-    /// (column-stored profiles never build it — see
-    /// [`AvailabilityProfile::sync_tree`]).
-    tree: ProfileTree,
     /// `skyline[i]` = component-wise minimum of `frees[i..]`; valid for
     /// indices `>= skyline_clean_from`. Accelerates the linear queries
     /// on packed-state profiles; always empty on column-stored ones.
@@ -1123,21 +1103,6 @@ pub struct AvailabilityProfile {
     /// and evolves identically whichever storage is active.
     skyline_clean_from: usize,
 }
-
-/// Segment count at or above which the hierarchical `ProfileTree`
-/// engages, on the flavoured machines the column scan does not cover.
-/// Below it the linear skyline walk answers queries: at small S a
-/// sequential scan of packed 64-byte states beats the tree's
-/// pointer-chasing descent, and skipping the tree also skips its
-/// per-reservation aggregate maintenance (the dominant tree cost on
-/// profiles with many reservations). Chosen from the `profile_ops/*`
-/// micro-benches and the 2k/20k conservative simulation benches. On
-/// pooled-resource machines no threshold rehabilitates the tree — its
-/// aggregate pruning is exact arithmetic there, so a query's visit count
-/// approaches the segment count with worse per-visit constants than the
-/// column scan's SIMD compare — hence scan-served profiles keep it off
-/// at every size (measured at 20k jobs; DESIGN.md §10).
-const TREE_MIN_SEGMENTS: usize = 192;
 
 impl Default for AvailabilityProfile {
     /// An empty, never-folded profile. `machine` is a zero-capacity
@@ -1149,7 +1114,6 @@ impl Default for AvailabilityProfile {
             cols: Vec::new(),
             frees: Vec::new(),
             machine: PoolState::cpu_bb(0, 0.0),
-            tree: ProfileTree::default(),
             skyline: Vec::new(),
             skyline_clean_from: 0,
         }
@@ -1159,7 +1123,7 @@ impl Default for AvailabilityProfile {
 impl PartialEq for AvailabilityProfile {
     /// Profiles are equal when their piecewise-constant functions are:
     /// same boundaries and the same materialized per-segment states
-    /// (machine shape plus free counters). The storage layout, tree and
+    /// (machine shape plus free counters). The storage layout and
     /// skyline take no part in equality.
     fn eq(&self, other: &Self) -> bool {
         self.times == other.times && self.states() == other.states()
@@ -1221,9 +1185,6 @@ impl AvailabilityProfile {
             } else {
                 self.frees.drain(..k);
                 self.skyline.drain(..k);
-                // Ranks shifted: resync the tree index (threshold
-                // crossings mirror what a refold would do).
-                self.sync_tree();
             }
             self.skyline_clean_from = self.skyline_clean_from.saturating_sub(k);
         }
@@ -1270,7 +1231,6 @@ impl AvailabilityProfile {
             self.push_segment(&acc);
         }
         self.rebuild_skyline();
-        self.sync_tree();
     }
 
     /// Empties the segment storage and picks its layout from the machine
@@ -1310,19 +1270,6 @@ impl AvailabilityProfile {
     #[inline]
     fn columnar(&self) -> bool {
         !self.cols.is_empty()
-    }
-
-    /// Engages or clears the tree index according to the segment count
-    /// (see `TREE_MIN_SEGMENTS`). Column-stored profiles never build the
-    /// tree (`frees` is empty): the scan answers every query the tree
-    /// would, faster, so the per-reservation aggregate maintenance would
-    /// be pure overhead.
-    fn sync_tree(&mut self) {
-        if self.frees.len() >= TREE_MIN_SEGMENTS {
-            self.tree.rebuild(&self.machine, &self.frees);
-        } else {
-            self.tree.clear();
-        }
     }
 
     /// Rebuilds the suffix-minima index over the packed segments (left
@@ -1400,42 +1347,26 @@ impl AvailabilityProfile {
             && self.machine.free_fits(&self.skyline[i], d)
     }
 
-    /// Whether `d` fits everywhere on `[start, start + duration)`.
-    ///
-    /// With the tree engaged, boundaries at or before `start` are skipped
-    /// by binary search and the index locates the first blocking boundary
-    /// in O(log S) — the interval fits iff that boundary is absent or
-    /// at/after the interval's end (debug builds cross-check against
-    /// [`AvailabilityProfile::fits_interval_linear`]). Small profiles
-    /// take the linear skyline walk directly.
+    /// Whether `d` fits everywhere on `[start, start + duration)`: the
+    /// column scan on column-stored profiles (debug builds cross-check it
+    /// against [`AvailabilityProfile::fits_interval_linear`]), the linear
+    /// skyline walk on packed-state ones.
     pub fn fits_interval(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
         if self.columnar() {
             let fits = self.fits_interval_scan(d, start, duration);
             debug_assert_eq!(fits, self.fits_interval_linear(d, start, duration));
             return fits;
         }
-        if !self.tree.is_active() {
-            return self.fits_interval_linear(d, start, duration);
-        }
-        let end = start + duration;
-        let fits = self.machine.free_fits(&self.frees[self.seg_index(start)], d) && {
-            // First boundary strictly greater than `start`.
-            let i = self.times.partition_point(|t| *t <= start);
-            match self.tree.first_blocking_at_or_after(i, d, &self.machine, &self.frees) {
-                None => true,
-                Some(b) => self.times[b] >= end,
-            }
-        };
-        debug_assert_eq!(fits, self.fits_interval_linear(d, start, duration));
-        fits
+        self.fits_interval_linear(d, start, duration)
     }
 
-    /// The frozen linear-scan `fits_interval` (suffix-minima skyline
-    /// acceleration on packed-state profiles): the oracle the scan- and
-    /// tree-indexed [`AvailabilityProfile::fits_interval`] is checked
-    /// against, kept public so equivalence tests can compare the paths
-    /// explicitly. On column-stored profiles it tests each segment's
-    /// materialized packed state with [`PoolState::free_fits`].
+    /// The linear-walk `fits_interval` (suffix-minima skyline
+    /// acceleration on packed-state profiles): the evaluator of
+    /// packed-state profiles and the oracle the column-scanned
+    /// [`AvailabilityProfile::fits_interval`] is checked against, kept
+    /// public so equivalence tests can compare the paths explicitly. On
+    /// column-stored profiles it tests each segment's materialized packed
+    /// state with [`PoolState::free_fits`].
     pub fn fits_interval_linear(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
         if self.columnar() {
             self.fits_interval_walk(d, start, duration, |i| {
@@ -1484,34 +1415,15 @@ impl AvailabilityProfile {
     /// instants are `from` and the profile's breakpoints (free resources
     /// only ever *increase* at breakpoints built from releases, but
     /// reservations can carve arbitrary shapes, so every breakpoint is a
-    /// candidate). Returns `f64::INFINITY` if it never fits.
-    ///
-    /// With the tree engaged, the answer comes from a **single
-    /// traversal** (`ProfileTree::find_earliest`): every tree node is
-    /// visited at most once, subtrees whose minimum aggregate fits `d`
-    /// are skipped whole, and candidate accept/advance decisions happen
-    /// in-order during the descent — no per-candidate restart from the
-    /// root. Identical returns to the walk, debug-asserted against
-    /// [`AvailabilityProfile::earliest_start_linear`]. Small profiles
-    /// take the linear skyline walk directly.
+    /// candidate). Returns `f64::INFINITY` if it never fits. The column
+    /// scan answers on column-stored profiles, the linear skyline walk
+    /// ([`AvailabilityProfile::earliest_start_linear`]) on packed-state
+    /// ones.
     pub fn earliest_start(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
         if self.columnar() {
             return self.earliest_slot(d, from, self.next_boundary(from), duration).0;
         }
-        self.earliest_start_packed(d, from, duration)
-    }
-
-    /// [`AvailabilityProfile::earliest_start`] on a packed-state profile:
-    /// the tree's single traversal when engaged, the skyline walk below
-    /// it.
-    fn earliest_start_packed(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        if !self.tree.is_active() {
-            return self.earliest_start_linear(d, from, duration);
-        }
-        let found =
-            self.tree.find_earliest(&self.machine, &self.times, &self.frees, d, from, duration);
-        debug_assert_eq!(found.to_bits(), self.earliest_start_linear(d, from, duration).to_bits());
-        found
+        self.earliest_start_linear(d, from, duration)
     }
 
     /// Rank of the first boundary strictly after `from` — where a walk
@@ -1537,7 +1449,7 @@ impl AvailabilityProfile {
     /// the rank of the first boundary after `from`; the planner passes
     /// the rank its memo carried, so a column-stored query does no binary
     /// search over `times` at all. Packed-state profiles answer through
-    /// the tree or the walk and find the ranks by search.
+    /// the walk and find the ranks by search.
     pub(crate) fn earliest_slot(
         &self,
         d: &JobDemand,
@@ -1548,7 +1460,7 @@ impl AvailabilityProfile {
         debug_assert_eq!(next, self.next_boundary(from), "carried rank of `from` is stale");
         let n = self.times.len();
         if !self.columnar() {
-            let t = self.earliest_start_packed(d, from, duration);
+            let t = self.earliest_start_linear(d, from, duration);
             if !t.is_finite() {
                 return (t, n, n);
             }
@@ -1569,12 +1481,13 @@ impl AvailabilityProfile {
         slot
     }
 
-    /// The frozen linear-walk `earliest_start` (suffix-minima skyline
-    /// acceleration on packed-state profiles): the oracle the scan- and
-    /// tree-indexed [`AvailabilityProfile::earliest_start`] is checked
-    /// against, kept public so equivalence tests can compare the paths
-    /// explicitly. On column-stored profiles it tests each segment's
-    /// materialized packed state with [`PoolState::free_fits`].
+    /// The linear-walk `earliest_start` (suffix-minima skyline
+    /// acceleration on packed-state profiles): the evaluator of
+    /// packed-state profiles and the oracle the column-scanned
+    /// [`AvailabilityProfile::earliest_start`] is checked against, kept
+    /// public so equivalence tests can compare the paths explicitly. On
+    /// column-stored profiles it tests each segment's materialized packed
+    /// state with [`PoolState::free_fits`].
     ///
     /// Implemented as a single forward walk: when a segment inside the
     /// candidate's interval does not fit, every candidate up to that
@@ -1961,11 +1874,6 @@ impl AvailabilityProfile {
             for f in &mut self.frees[lo..hi] {
                 let _ = machine.free_carve(f, d);
             }
-            // Repair the tree index's aggregates over the mutated rank
-            // range (the flat packed states are its source of truth).
-            if self.tree.is_active() && lo < hi {
-                self.tree.refresh_range(lo, hi, &self.machine, &self.frees);
-            }
         }
         // Suffix minima at or before a mutated segment may now overstate
         // availability; invalidate them (queries fall back to exact
@@ -1982,15 +1890,14 @@ impl AvailabilityProfile {
     /// (materialized from the template and the stored free counters —
     /// byte-identical whichever layout stores them, since every segment
     /// shares the fold pool's topology and capacities), and the skyline
-    /// watermark. The storage layout, tree and skyline are **not
-    /// state** — none appears on the wire, and restore rebuilds them from
-    /// the flat segments: the layout from the machine shape, the tree
-    /// deterministically from the exact states, and the skyline with
-    /// entries at or beyond the watermark identical to the maintained
-    /// ones (they are suffix minima over unmutated segments) while
-    /// entries below it are never read. Queries therefore answer exactly
-    /// as the original would have, and the snapshot schema is unchanged
-    /// by the indexing strategy.
+    /// watermark. The storage layout and skyline are **not state** —
+    /// neither appears on the wire, and restore rebuilds them from the
+    /// flat segments: the layout from the machine shape, and the skyline
+    /// with entries at or beyond the watermark identical to the
+    /// maintained ones (they are suffix minima over unmutated segments)
+    /// while entries below it are never read. Queries therefore answer
+    /// exactly as the original would have, and the snapshot schema is
+    /// unchanged by the indexing strategy.
     pub fn snapshot(&self) -> ProfileState {
         ProfileState {
             times: self.times.clone(),
@@ -2060,7 +1967,6 @@ impl AvailabilityProfile {
         }
         profile.times = state.times;
         profile.rebuild_skyline();
-        profile.sync_tree();
         profile.skyline_clean_from = state.skyline_clean_from;
         Ok(profile)
     }
@@ -2084,8 +1990,8 @@ impl AvailabilityProfile {
     }
 
     /// Inserts boundary `t` at rank `i` (`times[i - 1] < t < times[i]`),
-    /// duplicating segment `i - 1`, and keeps the watermark, the tree and
-    /// the skyline rank-aligned.
+    /// duplicating segment `i - 1`, and keeps the watermark and the
+    /// skyline rank-aligned.
     fn insert_boundary(&mut self, i: usize, t: f64) {
         debug_assert!(i > 0 && self.times[i - 1] < t && self.times.get(i).is_none_or(|&x| t < x));
         self.times.insert(i, t);
@@ -2104,15 +2010,6 @@ impl AvailabilityProfile {
         }
         let f = self.frees[i - 1];
         self.frees.insert(i, f);
-        // Insert the duplicate segment into the tree at the same rank
-        // (O(log S) balanced insert; reads the new state from the
-        // just-updated flat vector). Growing across the activation
-        // threshold engages the index mid-pass.
-        if self.tree.is_active() {
-            self.tree.insert(i, &self.machine, &self.frees);
-        } else if self.frees.len() >= TREE_MIN_SEGMENTS {
-            self.tree.rebuild(&self.machine, &self.frees);
-        }
         // Keep the skyline index-aligned. Entries before `i` are
         // unchanged (the duplicate state was already folded into them
         // via the original segment); the new entry folds the duplicate
@@ -2489,7 +2386,7 @@ mod tests {
     /// The three machine shapes the profile property tests run on, with
     /// a tag for [`shaped_demand`]: pooled R = 2 (column scan's
     /// two-column walk), pooled R = 3 with GPUs (its generic walk), and
-    /// flavoured SSD nodes (packed states, skyline, tree).
+    /// flavoured SSD nodes (packed states, skyline walk).
     fn profile_systems() -> [(PoolState, u32); 3] {
         let gpus = ResourceModel::new(vec![
             ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),

@@ -70,7 +70,6 @@ pub mod record;
 pub mod replay;
 pub mod service;
 pub mod state;
-mod tree;
 
 pub use alloc::{AllocLedger, LedgerDelta, LedgerState, RunningJob};
 pub use backfill::{

@@ -29,10 +29,9 @@
 //! typed [`SchedError::CorruptSnapshot`], never a panic.
 //!
 //! The schema is deliberately insulated from performance work: the
-//! availability profile's query indexes (column scan, segment tree,
-//! skyline) and the conservative strategy's replay memo are
-//! acceleration state, rebuilt from the flat representation on restore
-//! and never serialized. [`crate::backfill::ConservativeState`] today
+//! availability profile's storage layout and skyline index and the
+//! conservative strategy's replay memo are acceleration state, rebuilt
+//! from the flat representation on restore and never serialized. [`crate::backfill::ConservativeState`] today
 //! captures exactly what it captured when v1 was introduced — the raw
 //! release mirror, the flat profile, and the skyline watermark — which
 //! is why the indexed profile needed no schema bump and the v1 golden

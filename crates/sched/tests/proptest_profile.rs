@@ -1,14 +1,13 @@
-//! Property test: every query index inside [`AvailabilityProfile`] is
-//! bit-identical to the linear evaluators it accelerates.
+//! Property test: both query evaluators inside [`AvailabilityProfile`]
+//! are bit-identical to the frozen scan-everything [`LegacyProfile`].
 //!
-//! The profile dispatches queries to one of three evaluators — the
-//! column scan (pooled-resource machines), the hierarchical segment tree
-//! (flavoured machines at 192+ segments), or the linear skyline walk
-//! (everything else) — and the dispatch must be pure acceleration:
-//! indistinguishable from the linear walk, which in turn must match the
-//! frozen scan-everything [`LegacyProfile`]. This harness seeds large
-//! machines with enough staggered releases to push profiles past the
-//! tree threshold, then drives random start / finish / reserve
+//! The profile answers queries with one of two evaluators, picked by its
+//! storage layout — the column scan (pooled-resource machines) or the
+//! linear skyline walk (flavoured machines, and the scan's oracle) — and
+//! the scan must be pure acceleration: indistinguishable from the linear
+//! walk, which in turn must match [`LegacyProfile`]. This harness seeds
+//! large machines with enough staggered releases to grow deep profiles
+//! (192-plus segments), then drives random start / finish / reserve
 //! interleavings over pooled R ∈ {2, 3} and flavoured R ∈ {3, 4} systems
 //! (heterogeneous SSD flavours), asserting at every pass:
 //!
@@ -26,8 +25,8 @@
 //!    stores its segments.
 //!
 //! Debug builds double the coverage for free: the dispatched queries
-//! internally cross-check the scan and tree answers against the linear
-//! walk via `debug_assert!` oracles on every call made here.
+//! internally cross-check the scan answers against the linear walk via
+//! `debug_assert!` oracles on every call made here.
 
 use bbsched_core::pools::PoolState;
 use bbsched_core::problem::{JobDemand, SSD_LARGE_GB, SSD_SMALL_GB};
@@ -39,14 +38,15 @@ use proptest::prelude::*;
 /// finish / query-pass / reserve-pass and the rest seeding demands.
 type Op = (u8, u16, u16, u16);
 
-/// Mirror of the profile's private tree threshold: the seed phase must
-/// push flavoured profiles past it so the tree actually serves queries.
-const TREE_MIN_SEGMENTS: usize = 192;
+/// Segments every seeded profile must reach before the random
+/// interleaving starts, so the evaluators are checked on deep profiles
+/// (the regime of the 20k-job benches), not only on short ones.
+const DEEP_PROFILE_SEGMENTS: usize = 192;
 
 /// Reservations attempted per reserve pass. About 45 of them carve, each
 /// splitting in about one boundary, so the column-stored pooled profiles
-/// grow well past `TREE_MIN_SEGMENTS` through `split_at` and the column
-/// carve, not through the fold alone.
+/// grow well past `DEEP_PROFILE_SEGMENTS` through `split_at` and the
+/// column carve, not through the fold alone.
 const RESERVES_PER_PASS: u16 = 64;
 
 /// A system under test: its full pool, a demand generator mapping raw op
@@ -87,7 +87,8 @@ fn systems() -> Vec<SystemUnderTest> {
         seed_ssd: |_| 0.0,
     };
     // R = 3, heterogeneous two-tier local SSDs: 256 flavoured nodes, so
-    // the hierarchical tree engages once the seed jobs are running.
+    // the skyline walk works deep packed-state profiles once the seed
+    // jobs are running.
     let ssd = SystemUnderTest {
         pool: PoolState::with_ssd(128, 128, 30_000.0),
         demand: |a, b, c| {
@@ -132,7 +133,8 @@ fn systems() -> Vec<SystemUnderTest> {
     vec![pooled, pooled3, ssd, four]
 }
 
-/// Asserts the three evaluators agree on one query shape.
+/// Asserts the dispatched query, its linear oracle and `LegacyProfile`
+/// agree on one query shape.
 fn check_queries(
     profile: &AvailabilityProfile,
     legacy: &LegacyProfile,
@@ -178,8 +180,7 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
     let mut running: Vec<usize> = Vec::new();
 
     // Seed: staggered single-node jobs with distinct release times, so
-    // the profile opens with one segment per seed job and the tree (on
-    // flavoured machines) is the evaluator actually under test.
+    // the profile opens with one segment per seed job.
     for i in 0..sut.seed_jobs {
         let d = JobDemand::cpu_bb_ssd(1, f64::from(i as u16 % 50) * 4.0, (sut.seed_ssd)(i));
         if ledger.fits(&d) {
@@ -190,8 +191,8 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
     mirror.sync(&ledger);
     mirror.fold_into(now, *ledger.pool(), &mut profile);
     prop_assert!(
-        profile.times().len() >= TREE_MIN_SEGMENTS,
-        "seed phase must cross the tree threshold, got {} segments",
+        profile.times().len() >= DEEP_PROFILE_SEGMENTS,
+        "seed phase must grow a deep profile, got {} segments",
         profile.times().len()
     );
     let mut next_idx = sut.seed_jobs;
@@ -282,13 +283,13 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Tree / column-scan / linear-skyline dispatch is bit-identical to
-    /// the linear oracles and to `LegacyProfile`, and every profile is a
+    /// Column-scan / linear-skyline dispatch is bit-identical to the
+    /// linear oracles and to `LegacyProfile`, and every profile is a
     /// snapshot/restore fixed point, under random start/finish/reserve
     /// interleavings on pooled and flavoured systems with 192-plus-segment
     /// profiles.
     #[test]
-    fn tree_profile_matches_skyline(
+    fn profile_evaluators_match_legacy(
         ops in proptest::collection::vec(
             (0u8..3, 0u16..10_000, 0u16..10_000, 0u16..10_000), 1..40),
     ) {

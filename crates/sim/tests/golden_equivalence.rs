@@ -617,8 +617,8 @@ fn golden_wfp_memo_replay_equals_always_refold_midscale() {
 /// `bench_sim`) through both conservative strategies, asserting the full
 /// 20k-record `SimResult`s are identical. At this depth the profiles carry
 /// hundreds of segments per pass, so the memoized replay path and the
-/// column-scan / tree query indexes all engage — none of which the small
-/// golden traces above reach. Ignored by default: the rebuild-per-pass
+/// column-scan query index both engage on deep profiles — which the small
+/// golden traces above never reach. Ignored by default: the rebuild-per-pass
 /// oracle alone takes ~13 minutes in release (hours in debug). Run with
 /// `cargo test --release -p bbsched-sim --test golden_equivalence -- --ignored`.
 #[test]
