@@ -1,9 +1,10 @@
 //! Machine-readable simulator benchmarks: `BENCH_sim.json`.
 //!
-//! Re-measures the `simulator_throughput` and `policy_overhead` Criterion
-//! benches with a plain wall-clock loop and writes the medians as JSON, so
-//! CI and the PR trajectory can diff numbers across commits without
-//! scraping human-oriented bench output.
+//! The workspace's timing harness, beside the figure binaries: it times
+//! whole simulations, the availability-profile and daemon layers, and
+//! per-policy decision latency with a plain wall-clock loop, and writes
+//! the medians as JSON, so CI and later changes can diff numbers across
+//! commits without scraping human-oriented output.
 //!
 //! Run: `cargo run --release -p bbsched-bench --bin bench_sim -- \
 //!         [--short] [--out PATH] [--baseline PATH] [--max-regression PCT]`
@@ -170,7 +171,7 @@ fn main() {
     };
     let mut sizes: Vec<(String, u64)> = Vec::new();
 
-    // --- simulator_throughput ---
+    // --- simulator throughput ---
     for n in [n_small, n_large] {
         let (profile, t) = trace(n);
         push(&format!("simulate_baseline/{n}"), sim_samples, sim_min_s, &mut || {
@@ -539,7 +540,7 @@ fn main() {
         });
     }
 
-    // --- policy_overhead ---
+    // --- per-policy decision latency (§4.4) ---
     let w = overhead_window(50);
     let avail = PoolState::cpu_bb(800, 60_000.0);
     let gens = if short { 50 } else { 500 };

@@ -49,7 +49,7 @@ COMMANDS
   simulate   Run one policy over a trace and print its metrics
              --trace PATH | (--machine + --jobs [--workload])
              --machine cori|theta  --scale F  --policy NAME  --gens G
-             --window N  --starvation-bound N  --threads T
+             --window N  --starvation-bound N
              --backfill easy|conservative
              --backfill-scope window|queue
              --dynamic-window MIN,MAX,FRAC  [--out result.json]
@@ -290,8 +290,8 @@ fn print_summary(result: &SimResult) {
     println!("makespan:        {:.2} days", result.makespan / 86_400.0);
 }
 
-/// Parses `--threads` (worker threads for GA evaluation and the compare
-/// roster; 1 = serial, the default).
+/// Parses `compare --threads` (worker threads that run the roster's
+/// simulations side by side; 1 = serial, the default).
 pub(crate) fn parse_threads(args: &Args) -> Result<usize, String> {
     let threads: usize = args.get_parsed("threads", 1usize)?;
     if threads == 0 {
@@ -302,8 +302,7 @@ pub(crate) fn parse_threads(args: &Args) -> Result<usize, String> {
 
 fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let mut known = vec![
-        "trace", "machine", "jobs", "seed", "scale", "load", "workload", "policy", "gens",
-        "threads", "out",
+        "trace", "machine", "jobs", "seed", "scale", "load", "workload", "policy", "gens", "out",
     ];
     known.extend_from_slice(SCHED_ARGS);
     args.check_known(&known)?;
@@ -313,7 +312,6 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
     let ga = GaParams {
         generations: args.get_parsed("gens", 500usize)?,
         base_seed: args.get_parsed("seed", 7u64)?,
-        threads: parse_threads(args)?,
         ..GaParams::default()
     };
     let policy: Box<dyn SelectionPolicy> = kind.build(ga);
@@ -699,13 +697,22 @@ mod tests {
         );
     }
 
-    /// The removed spellings `--conservative`, `--queue-backfill` and
-    /// `--backfill conservative-rebuild` are usage errors.
+    /// The removed spellings `--conservative`, `--queue-backfill`,
+    /// `--backfill conservative-rebuild`, and `--threads` on `simulate`
+    /// and `serve` are usage errors.
     #[test]
     fn removed_backfill_spellings_are_usage_errors() {
-        for flag in ["--conservative", "--queue-backfill"] {
-            let args = Args::parse(["simulate", flag]).unwrap();
-            assert!(matches!(run(&args), Err(CliError::Usage(_))), "{flag} is an unknown option");
+        for removed in [
+            &["simulate", "--conservative"][..],
+            &["simulate", "--queue-backfill"],
+            &["simulate", "--threads", "2"],
+            &["serve", "--threads", "2"],
+        ] {
+            let args = Args::parse(removed.iter().copied()).unwrap();
+            assert!(
+                matches!(run(&args), Err(CliError::Usage(_))),
+                "{removed:?} has an unknown option"
+            );
         }
         let args = Args::parse(["simulate", "--backfill", "conservative-rebuild"]).unwrap();
         let cfg = sim_config(&args, &MachineProfile::cori()).map_err(CliError::from);
@@ -732,11 +739,11 @@ mod tests {
 
     #[test]
     fn threads_flag_parses_and_rejects_zero() {
-        let args = Args::parse(["simulate", "--threads", "4"]).unwrap();
+        let args = Args::parse(["compare", "--threads", "4"]).unwrap();
         assert_eq!(parse_threads(&args).unwrap(), 4);
-        let args = Args::parse(["simulate"]).unwrap();
+        let args = Args::parse(["compare"]).unwrap();
         assert_eq!(parse_threads(&args).unwrap(), 1, "default is serial");
-        let args = Args::parse(["simulate", "--threads", "0"]).unwrap();
+        let args = Args::parse(["compare", "--threads", "0"]).unwrap();
         assert!(parse_threads(&args).is_err());
     }
 

@@ -36,7 +36,7 @@
 //! the `recovered:` stderr marker (DESIGN.md §13).
 
 use crate::args::Args;
-use crate::commands::{parse_machine, parse_policy, parse_threads, sim_config, SCHED_ARGS};
+use crate::commands::{parse_machine, parse_policy, sim_config, SCHED_ARGS};
 use crate::error::CliError;
 use bbsched_metrics::LiveStatsLines;
 use bbsched_policies::{GaParams, PolicyKind};
@@ -232,7 +232,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         "policy",
         "gens",
         "seed",
-        "threads",
         "journal",
         "recover",
         "snapshot-every",
@@ -346,7 +345,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         ga = GaParams {
             generations: args.get_parsed("gens", 500usize)?,
             base_seed: args.get_parsed("seed", 7u64)?,
-            threads: parse_threads(args)?,
             ..GaParams::default()
         };
         // A non-recovery start must not silently adopt half a previous
@@ -716,6 +714,28 @@ mod tests {
         assert_eq!(log.borrow().writes, 1, "no write is attempted after the error");
         let err = stream.finish().expect("the failed write is latched");
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    }
+
+    /// A checkpoint whose `ga` map still carries the `threads` key that
+    /// `GaParams` once had decodes to the same checkpoint: the decoder
+    /// ignores keys it does not know.
+    #[test]
+    fn checkpoint_with_a_threads_key_decodes() {
+        let profile = parse_machine("cori").unwrap().scaled(0.05);
+        let policy = PolicyKind::Baseline.build(GaParams::default());
+        let mut replayer =
+            Replayer::new(&profile.system, SchedConfig::default(), policy, Vec::new()).unwrap();
+        for line in include_str!("../../../ci/replay_events.jsonl").lines().take(40) {
+            replayer.feed(JobEvent::parse(line).unwrap()).unwrap();
+        }
+        let ckpt = DaemonCheckpoint::new(&replayer, PolicyKind::Baseline, GaParams::default(), 40);
+        let json = serde_json::to_string(&ckpt).unwrap();
+        assert_eq!(json.matches(r#""ga":{"#).count(), 1);
+        let old = json.replace(r#""ga":{"#, r#""ga":{"threads":4,"#);
+        let (decoded, encoding) =
+            bbsched_sched::durability::from_bytes::<DaemonCheckpoint>(old.as_bytes()).unwrap();
+        assert_eq!(encoding, Encoding::Json);
+        assert_eq!(decoded, ckpt);
     }
 
     /// The fixture's event lines plus two control lines.

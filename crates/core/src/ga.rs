@@ -34,10 +34,6 @@ pub enum SolveMode {
     /// Multi-objective Pareto selection (BBSched proper, §3.2.2):
     /// non-dominated Set 1 survives first, then the newest of the rest.
     Pareto,
-    /// NSGA-II-style variant: like [`SolveMode::Pareto`], but overflowing
-    /// or tying choices are settled by *crowding distance* instead of age,
-    /// preserving front diversity. An ablation of the paper's age rule.
-    ParetoCrowding,
     /// Single-objective selection by weighted sum of *normalized*
     /// objectives (weights are applied after dividing each objective by the
     /// problem's [`MooProblem::normalizers`]). Used by the weighted and
@@ -59,23 +55,13 @@ pub struct GaConfig {
     pub seed: u64,
     /// Selection mode.
     pub mode: SolveMode,
-    /// Worker threads for population evaluation (1 = serial). The paper
-    /// notes the GA "can be accelerated by leveraging parallel processing".
-    pub threads: usize,
     /// Saturation polish: after each child is repaired, greedily select any
     /// still-fitting window job (front-of-window first). Every *exact*
     /// Pareto point of the §3.2.1/§5 problems is saturated — objectives are
     /// monotone in the selection — so polishing weakly dominates the
     /// unpolished chromosome and can only improve the approximation. Off by
-    /// default for strict fidelity to the paper's operator set; the
-    /// `ga_scaling` ablation quantifies the gain.
+    /// default for strict fidelity to the paper's operator set.
     pub saturate: bool,
-    /// External Pareto archive: accumulate every individual ever evaluated
-    /// into a best-ever front and return *that* instead of the final
-    /// generation's Set 1. Immune to the drift where a good point is found
-    /// mid-run and later lost. Off by default (the paper returns "the
-    /// chromosomes in Set 1 in the final generation").
-    pub archive: bool,
 }
 
 impl Default for GaConfig {
@@ -86,9 +72,7 @@ impl Default for GaConfig {
             mutation_rate: 0.0005,
             seed: 0x5eed_b00c,
             mode: SolveMode::Pareto,
-            threads: 1,
             saturate: false,
-            archive: false,
         }
     }
 }
@@ -100,8 +84,6 @@ pub enum GaConfigError {
     PopulationTooSmall(usize),
     /// Mutation rate outside `[0, 1]`.
     MutationRateOutOfRange(f64),
-    /// Zero worker threads requested.
-    ZeroThreads,
     /// Scalar mode configured without any weights.
     EmptyScalarWeights,
 }
@@ -113,7 +95,6 @@ impl std::fmt::Display for GaConfigError {
             Self::MutationRateOutOfRange(r) => {
                 write!(f, "mutation_rate must be in [0, 1], got {r}")
             }
-            Self::ZeroThreads => write!(f, "threads must be >= 1"),
             Self::EmptyScalarWeights => write!(f, "scalar mode requires at least one weight"),
         }
     }
@@ -130,9 +111,6 @@ impl GaConfig {
         }
         if !(0.0..=1.0).contains(&self.mutation_rate) {
             return Err(GaConfigError::MutationRateOutOfRange(self.mutation_rate));
-        }
-        if self.threads == 0 {
-            return Err(GaConfigError::ZeroThreads);
         }
         if let SolveMode::Scalar(w) = &self.mode {
             if w.is_empty() {
@@ -203,17 +181,10 @@ impl MooGa {
 
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
         let p = self.config.population;
-        // Memo of repair/evaluate results for the serial path; converged
-        // populations re-produce the same children over and over, so most
-        // late-run lookups hit.
+        // Memo of repair/evaluate results; converged populations re-produce
+        // the same children over and over, so most late-run lookups hit.
         let mut memo = parallel::EvalMemo::new();
         let mut pop = self.initial_population(problem, &mut rng, &mut memo);
-        let mut archive = ParetoFront::new();
-        if self.config.archive {
-            for ind in &pop {
-                archive.insert(Solution { chromosome: ind.chrom.clone(), objectives: ind.objs });
-            }
-        }
         let mut next_checkpoint = 0usize;
 
         // Snapshot before any evolution if generation 0 is requested.
@@ -247,21 +218,22 @@ impl MooGa {
                 }
             }
 
-            // --- repair + evaluate (memoized when serial) ---
-            let objs = self.repair_and_evaluate(problem, &mut children_chroms, &mut memo);
+            // --- repair + evaluate (memoized) ---
+            let objs = parallel::repair_and_evaluate_memo(
+                problem,
+                &mut children_chroms,
+                self.config.saturate,
+                &mut memo,
+            );
 
             // --- selection over parents + children ---
             let mut pool: Vec<Individual> = pop;
             pool.reserve(children_chroms.len());
             for (chrom, objs) in children_chroms.drain(..).zip(objs) {
-                if self.config.archive {
-                    archive.insert(Solution { chromosome: chrom.clone(), objectives: objs });
-                }
                 pool.push(Individual { chrom, objs, age: 0 });
             }
             pop = match &self.config.mode {
                 SolveMode::Pareto => select_pareto(pool, p, &mut recycle, &mut scratch),
-                SolveMode::ParetoCrowding => select_crowding(pool, p),
                 SolveMode::Scalar(weights) => {
                     select_scalar(pool, p, weights, problem.normalizers().as_slice(), &mut recycle)
                 }
@@ -276,8 +248,7 @@ impl MooGa {
             }
         }
 
-        trace.final_front =
-            if self.config.archive { archive } else { self.extract_front(problem, &pop) };
+        trace.final_front = self.extract_front(problem, &pop);
         trace
     }
 
@@ -298,26 +269,6 @@ impl MooGa {
         })
     }
 
-    /// Repairs and evaluates a batch: the serial path goes through the memo,
-    /// `threads > 1` keeps the unmemoized sharded path (results identical).
-    fn repair_and_evaluate<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        chroms: &mut [Chromosome],
-        memo: &mut parallel::EvalMemo,
-    ) -> Vec<Objectives> {
-        if self.config.threads <= 1 {
-            parallel::repair_and_evaluate_memo(problem, chroms, self.config.saturate, memo)
-        } else {
-            parallel::repair_and_evaluate(
-                problem,
-                chroms,
-                self.config.threads,
-                self.config.saturate,
-            )
-        }
-    }
-
     fn initial_population<P: MooProblem + ?Sized>(
         &self,
         problem: &P,
@@ -336,7 +287,8 @@ impl MooGa {
                 c
             })
             .collect();
-        let objs = self.repair_and_evaluate(problem, &mut chroms, memo);
+        let objs =
+            parallel::repair_and_evaluate_memo(problem, &mut chroms, self.config.saturate, memo);
         chroms
             .into_iter()
             .zip(objs)
@@ -375,7 +327,7 @@ impl MooGa {
         pop: &[Individual],
     ) -> ParetoFront {
         match &self.config.mode {
-            SolveMode::Pareto | SolveMode::ParetoCrowding => ParetoFront::from_pool(
+            SolveMode::Pareto => ParetoFront::from_pool(
                 pop.iter().map(|i| Solution { chromosome: i.chrom.clone(), objectives: i.objs }),
             ),
             SolveMode::Scalar(weights) => {
@@ -409,38 +361,6 @@ pub struct GaTrace {
 #[inline]
 fn scalar_fitness(objs: &Objectives, weights: &[f64], norm: &[f64]) -> f64 {
     objs.as_slice().iter().zip(norm).zip(weights).map(|((&v, &n), &w)| w * v / n).sum()
-}
-
-/// Indices of the non-dominated members of `pool`. Equal objective vectors
-/// are both retained (the paper keeps all Set-1 chromosomes).
-///
-/// Members are first grouped by exactly-equal objective vectors: equal
-/// vectors never dominate each other and share every dominance verdict, so
-/// the O(n²) comparison loop runs over the *distinct* vectors only. A
-/// converged population collapses to a handful of distinct points, which is
-/// where the per-generation selection cost used to go.
-fn nondominated_indices(pool: &[Individual]) -> Vec<bool> {
-    let mut uniq: Vec<&[f64]> = Vec::new();
-    let mut group: Vec<u32> = Vec::with_capacity(pool.len());
-    for ind in pool {
-        let v = ind.objs.as_slice();
-        let g = uniq.iter().position(|u| *u == v).unwrap_or_else(|| {
-            uniq.push(v);
-            uniq.len() - 1
-        });
-        group.push(g as u32);
-    }
-    let d = uniq.len();
-    let mut nondom = vec![true; d];
-    for i in 0..d {
-        for j in 0..d {
-            if i != j && dominates(uniq[j], uniq[i]) {
-                nondom[i] = false;
-                break;
-            }
-        }
-    }
-    group.into_iter().map(|g| nondom[g as usize]).collect()
 }
 
 /// Reusable buffers for [`select_pareto`], hoisted out of the
@@ -568,47 +488,6 @@ fn select_pareto(
     survivors
 }
 
-/// NSGA-II-style selection: non-dominated sorting into successive fronts;
-/// fronts fill the next generation in rank order, and the last,
-/// overflowing front is truncated by descending crowding distance.
-fn select_crowding(mut pool: Vec<Individual>, p: usize) -> Vec<Individual> {
-    let mut next: Vec<Individual> = Vec::with_capacity(p);
-    while next.len() < p && !pool.is_empty() {
-        let in_front = nondominated_indices(&pool);
-        let mut front = Vec::new();
-        let mut rest = Vec::new();
-        for (ind, is_front) in pool.into_iter().zip(in_front) {
-            if is_front {
-                front.push(ind);
-            } else {
-                rest.push(ind);
-            }
-        }
-        if next.len() + front.len() <= p {
-            next.extend(front);
-        } else {
-            let points: Vec<&[f64]> = front.iter().map(|i| i.objs.as_slice()).collect();
-            let dist = crate::pareto::crowding_distance(&points);
-            let mut order: Vec<usize> = (0..front.len()).collect();
-            order.sort_by(|&a, &b| {
-                dist[b]
-                    .partial_cmp(&dist[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| front[a].age.cmp(&front[b].age))
-            });
-            let need = p - next.len();
-            let keep: std::collections::HashSet<usize> = order.into_iter().take(need).collect();
-            for (i, ind) in front.into_iter().enumerate() {
-                if keep.contains(&i) {
-                    next.push(ind);
-                }
-            }
-        }
-        pool = rest;
-    }
-    next
-}
-
 /// Scalarized selection: top `p` by weighted normalized sum, newest first on
 /// ties.
 fn select_scalar(
@@ -724,54 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_feasibility() {
-        let p = table1_problem();
-        let cfg = GaConfig { generations: 50, threads: 4, ..GaConfig::default() };
-        let front = MooGa::new(cfg).solve(&p);
-        assert!(!front.is_empty());
-        use crate::problem::MooProblem;
-        for s in front.solutions() {
-            assert!(p.is_feasible(&s.chromosome));
-        }
-    }
-
-    #[test]
-    fn archive_front_is_at_least_as_good() {
-        use crate::quality::hypervolume_2d;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(77);
-        for trial in 0..4 {
-            let window: Vec<JobDemand> = (0..18)
-                .map(|_| {
-                    JobDemand::cpu_bb(rng.random_range(8..200), rng.random_range(0.0..30_000.0))
-                })
-                .collect();
-            let p = KnapsackMooProblem::new(window, ResourceModel::cpu_bb(500, 80_000.0));
-            let solve = |archive: bool| {
-                let cfg = GaConfig {
-                    generations: 80,
-                    seed: 2_000 + trial,
-                    archive,
-                    ..GaConfig::default()
-                };
-                MooGa::new(cfg).solve(&p)
-            };
-            let plain = solve(false);
-            let archived = solve(true);
-            assert!(archived.is_mutually_nondominated());
-            // The archive contains everything the final generation saw, so
-            // its hypervolume can never be smaller.
-            let hv_plain = hypervolume_2d(&plain, 0.0, 0.0);
-            let hv_arch = hypervolume_2d(&archived, 0.0, 0.0);
-            assert!(
-                hv_arch >= hv_plain - 1e-9,
-                "trial {trial}: archive lost quality {hv_plain} -> {hv_arch}"
-            );
-        }
-    }
-
-    #[test]
     fn saturation_improves_or_matches_front_quality() {
         use crate::quality::hypervolume_2d;
         // On random windows the saturated GA's hypervolume should never be
@@ -805,34 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn crowding_mode_finds_table1_pareto_set() {
-        let cfg = GaConfig {
-            generations: 500,
-            seed: 42,
-            mode: SolveMode::ParetoCrowding,
-            ..GaConfig::default()
-        };
-        let mut front = MooGa::new(cfg).solve(&table1_problem());
-        front.sort_by_first_objective();
-        let points: Vec<Vec<f64>> = front.objective_vectors().map(|v| v.to_vec()).collect();
-        assert!(points.contains(&vec![100.0, 20_000.0]), "{points:?}");
-        assert!(points.contains(&vec![80.0, 90_000.0]), "{points:?}");
-        assert!(front.is_mutually_nondominated());
-    }
-
-    #[test]
-    fn crowding_mode_solutions_feasible() {
-        let p = table1_problem();
-        let cfg =
-            GaConfig { generations: 100, mode: SolveMode::ParetoCrowding, ..GaConfig::default() };
-        let front = MooGa::new(cfg).solve(&p);
-        use crate::problem::MooProblem;
-        for s in front.solutions() {
-            assert!(p.is_feasible(&s.chromosome));
-        }
-    }
-
-    #[test]
     fn config_validation() {
         assert_eq!(
             GaConfig { population: 1, ..GaConfig::default() }.validate(),
@@ -843,16 +646,12 @@ mod tests {
             Err(GaConfigError::MutationRateOutOfRange(1.5))
         );
         assert_eq!(
-            GaConfig { threads: 0, ..GaConfig::default() }.validate(),
-            Err(GaConfigError::ZeroThreads)
-        );
-        assert_eq!(
             GaConfig { mode: SolveMode::Scalar(vec![]), ..GaConfig::default() }.validate(),
             Err(GaConfigError::EmptyScalarWeights)
         );
         assert!(GaConfig::default().validate().is_ok());
         // Typed errors are real std errors with stable messages.
-        let boxed: Box<dyn std::error::Error> = Box::new(GaConfigError::ZeroThreads);
-        assert_eq!(boxed.to_string(), "threads must be >= 1");
+        let boxed: Box<dyn std::error::Error> = Box::new(GaConfigError::PopulationTooSmall(1));
+        assert_eq!(boxed.to_string(), "population must be >= 2, got 1");
     }
 }

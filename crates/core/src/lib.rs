@@ -31,9 +31,9 @@
 //!   its §5 extension (4× rule over three non-node axes).
 //! * [`window`] — window-based scheduling bookkeeping and the starvation
 //!   bound of §3.1.
-//! * [`parallel`] — scoped-thread parallel population evaluation (the
-//!   paper notes the GA "can be accelerated by leveraging parallel
-//!   processing").
+//! * [`parallel`] — the GA's memoized repair/evaluate pass and
+//!   `run_batch`, the worker pool that runs whole simulations side by
+//!   side.
 //!
 //! ## Quick example
 //!

@@ -1,29 +1,21 @@
-//! Parallel evaluation and the coarse-grained worker pool.
+//! GA evaluation helpers and the coarse-grained worker pool.
 //!
 //! §3.2.2 notes that the genetic solver "can be accelerated by leveraging
 //! parallel processing" and §3.3 that the `O(G × P)` cost "can be further
-//! lowered via parallel processing of the MOO". Two grains are on offer
-//! here, and only one of them pays for the paper's own problems:
+//! lowered via parallel processing of the MOO". For the paper's knapsack
+//! objectives a chromosome evaluation costs too little for per-generation
+//! threading to pay: sharding each generation over scoped threads made a
+//! 500-job Theta `simulate` with `BBSched` many times slower than the
+//! serial path, not faster. So the GA evaluates on one thread, through the
+//! memo ([`repair_and_evaluate_memo`]), and threads go to the coarse grain:
+//! [`run_batch`] runs whole simulations or experiment-grid cells, which are
+//! seconds-scale and embarrassingly parallel. `compare --threads` and the
+//! bench sweep driver (`BBSCHED_THREADS`) fan out over it, and it returns
+//! results in input order, so parallel output is byte-identical to serial
+//! output.
 //!
-//! * **Per-generation sharding** ([`repair_and_evaluate`] with
-//!   `threads > 1`): measured honestly (`ga_scaling` bench), scoped-thread
-//!   spawning per generation costs more than it saves even at `w = 256`,
-//!   `P = 128` — chromosome evaluation is just too cheap. The hook remains
-//!   for *expensive* `MooProblem::evaluate` implementations (e.g. problems
-//!   that consult a placement simulator per candidate); for the paper's
-//!   knapsack objectives, keep `threads = 1` and let the GA take the
-//!   serial, memoized path ([`repair_and_evaluate_memo`]).
-//! * **Whole-task batching** ([`run_batch`]): entire GA invocations,
-//!   simulations, or experiment-grid cells are seconds-scale and
-//!   embarrassingly parallel, so that is where threads go — the CLI's
-//!   `--threads` and the bench sweep driver both fan out over [`run_batch`],
-//!   which returns results in input order so parallel output is
-//!   byte-identical to serial output.
-//!
-//! Everything uses `std::thread::scope` (stable since 1.63), which joins
-//! all workers on scope exit and propagates worker panics — the same
-//! guarantees the earlier `crossbeam::scope` implementation relied on,
-//! without the external dependency.
+//! Workers run under `std::thread::scope`, which joins them all on scope
+//! exit and propagates their panics.
 
 use crate::chromosome::Chromosome;
 use crate::problem::MooProblem;
@@ -115,10 +107,10 @@ impl EvalMemo {
     }
 }
 
-/// Serial, memoized variant of [`repair_and_evaluate`]: each chromosome is
-/// looked up pre-repair, and only misses pay for repair + saturation +
-/// evaluation. Results (including the in-place repaired chromosomes) are
-/// identical to the unmemoized path.
+/// Repairs (and optionally saturates) every chromosome in place and returns
+/// their objective vectors. Each chromosome is looked up pre-repair, and
+/// only misses pay for repair + saturation + evaluation; hits restore the
+/// repaired chromosome, so results match an unmemoized pass exactly.
 pub fn repair_and_evaluate_memo<P: MooProblem + ?Sized>(
     problem: &P,
     chroms: &mut [Chromosome],
@@ -144,60 +136,6 @@ pub fn repair_and_evaluate_memo<P: MooProblem + ?Sized>(
             objs
         })
         .collect()
-}
-
-/// Repairs (and optionally saturates) every chromosome in place and returns
-/// their objective vectors, using up to `threads` worker threads (1 = fully
-/// serial, no spawning).
-pub fn repair_and_evaluate<P: MooProblem + ?Sized>(
-    problem: &P,
-    chroms: &mut [Chromosome],
-    threads: usize,
-    saturate_after: bool,
-) -> Vec<Objectives> {
-    let fix = |problem: &P, c: &mut Chromosome| {
-        problem.repair(c);
-        if saturate_after {
-            saturate(problem, c);
-        }
-    };
-    if threads <= 1 || chroms.len() < 2 {
-        return chroms
-            .iter_mut()
-            .map(|c| {
-                fix(problem, c);
-                problem.evaluate(c)
-            })
-            .collect();
-    }
-
-    let n = chroms.len();
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let mut out = vec![Objectives::zeros(problem.num_objectives().max(1)); n];
-
-    std::thread::scope(|s| {
-        let mut rem_chroms: &mut [Chromosome] = chroms;
-        let mut rem_out: &mut [Objectives] = &mut out;
-        while !rem_chroms.is_empty() {
-            let take = chunk.min(rem_chroms.len());
-            let (c_head, c_tail) = rem_chroms.split_at_mut(take);
-            let (o_head, o_tail) = rem_out.split_at_mut(take);
-            rem_chroms = c_tail;
-            rem_out = o_tail;
-            s.spawn(move || {
-                for (c, o) in c_head.iter_mut().zip(o_head.iter_mut()) {
-                    problem.repair(c);
-                    if saturate_after {
-                        saturate(problem, c);
-                    }
-                    *o = problem.evaluate(c);
-                }
-            });
-        }
-    });
-
-    out
 }
 
 /// Runs a batch of independent jobs on up to `threads` OS threads and
@@ -244,6 +182,25 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    /// The unmemoized oracle: repair, optionally saturate, and evaluate
+    /// every chromosome afresh.
+    fn repair_and_evaluate<P: MooProblem + ?Sized>(
+        problem: &P,
+        chroms: &mut [Chromosome],
+        saturate_after: bool,
+    ) -> Vec<Objectives> {
+        chroms
+            .iter_mut()
+            .map(|c| {
+                problem.repair(c);
+                if saturate_after {
+                    saturate(problem, c);
+                }
+                problem.evaluate(c)
+            })
+            .collect()
+    }
+
     fn random_problem(w: usize, seed: u64) -> (KnapsackMooProblem, Vec<Chromosome>) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let window: Vec<JobDemand> = (0..w)
@@ -265,23 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let (problem, chroms) = random_problem(40, 7);
-        let mut serial = chroms.clone();
-        let mut par = chroms;
-        let so = repair_and_evaluate(&problem, &mut serial, 1, false);
-        let po = repair_and_evaluate(&problem, &mut par, 4, false);
-        assert_eq!(serial, par);
-        assert_eq!(so.len(), po.len());
-        for (a, b) in so.iter().zip(&po) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
     fn all_outputs_feasible() {
         let (problem, mut chroms) = random_problem(25, 11);
-        let _ = repair_and_evaluate(&problem, &mut chroms, 3, false);
+        let _ = repair_and_evaluate_memo(&problem, &mut chroms, false, &mut EvalMemo::new());
         for c in &chroms {
             assert!(problem.is_feasible(c));
         }
@@ -291,7 +234,7 @@ mod tests {
     fn handles_single_chromosome() {
         let (problem, mut chroms) = random_problem(10, 3);
         chroms.truncate(1);
-        let out = repair_and_evaluate(&problem, &mut chroms, 8, false);
+        let out = repair_and_evaluate_memo(&problem, &mut chroms, false, &mut EvalMemo::new());
         assert_eq!(out.len(), 1);
     }
 
@@ -299,7 +242,7 @@ mod tests {
     fn handles_empty_batch() {
         let (problem, _) = random_problem(10, 3);
         let mut none: Vec<Chromosome> = vec![];
-        let out = repair_and_evaluate(&problem, &mut none, 4, false);
+        let out = repair_and_evaluate_memo(&problem, &mut none, false, &mut EvalMemo::new());
         assert!(out.is_empty());
     }
 
@@ -329,7 +272,7 @@ mod tests {
             let mut memoed = with_dups.clone();
             let mut memo = EvalMemo::new();
             assert!(memo.is_empty());
-            let po = repair_and_evaluate(&problem, &mut plain, 1, saturate_after);
+            let po = repair_and_evaluate(&problem, &mut plain, saturate_after);
             let mo = repair_and_evaluate_memo(&problem, &mut memoed, saturate_after, &mut memo);
             assert_eq!(plain, memoed, "memo hits must restore the repaired chromosome");
             for (a, b) in po.iter().zip(&mo) {
@@ -369,8 +312,8 @@ mod tests {
         let (problem, chroms) = random_problem(20, 23);
         let mut plain = chroms.clone();
         let mut polished = chroms;
-        let _ = repair_and_evaluate(&problem, &mut plain, 1, false);
-        let _ = repair_and_evaluate(&problem, &mut polished, 1, true);
+        let _ = repair_and_evaluate_memo(&problem, &mut plain, false, &mut EvalMemo::new());
+        let _ = repair_and_evaluate_memo(&problem, &mut polished, true, &mut EvalMemo::new());
         // Polished chromosomes select a superset of the plain ones.
         for (a, b) in plain.iter().zip(&polished) {
             for i in 0..a.len() {

@@ -132,44 +132,6 @@ impl ParetoFront {
     }
 }
 
-/// NSGA-II crowding distance of each point within one non-dominated set:
-/// boundary points per objective get `f64::INFINITY`; interior points get
-/// the sum over objectives of the normalized gap between their neighbours.
-/// Larger = lonelier = more worth keeping for front diversity.
-///
-/// Used by the `ParetoCrowding` GA selection variant (an ablation against
-/// the paper's age-based elitism).
-pub fn crowding_distance(points: &[&[f64]]) -> Vec<f64> {
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let m = points[0].len();
-    let mut dist = vec![0.0f64; n];
-    if n <= 2 {
-        return vec![f64::INFINITY; n];
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    #[allow(clippy::needless_range_loop)] // k indexes into every point's k-th objective
-    for k in 0..m {
-        order.sort_by(|&a, &b| {
-            points[a][k].partial_cmp(&points[b][k]).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let lo = points[order[0]][k];
-        let hi = points[order[n - 1]][k];
-        let range = (hi - lo).max(f64::MIN_POSITIVE);
-        dist[order[0]] = f64::INFINITY;
-        dist[order[n - 1]] = f64::INFINITY;
-        for w in 1..n - 1 {
-            let gap = (points[order[w + 1]][k] - points[order[w - 1]][k]) / range;
-            if dist[order[w]].is_finite() {
-                dist[order[w]] += gap;
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,34 +196,5 @@ mod tests {
         assert!(f.is_empty());
         assert_eq!(f.len(), 0);
         assert!(f.is_mutually_nondominated());
-    }
-
-    #[test]
-    fn crowding_boundaries_are_infinite() {
-        let pts: Vec<&[f64]> = vec![&[0.0, 10.0], &[5.0, 5.0], &[10.0, 0.0]];
-        let d = crowding_distance(&pts);
-        assert!(d[0].is_infinite());
-        assert!(d[2].is_infinite());
-        assert!(d[1].is_finite() && d[1] > 0.0);
-    }
-
-    #[test]
-    fn crowding_prefers_lonely_points() {
-        // Four points on a line; the middle pair are crowded together.
-        let pts: Vec<&[f64]> = vec![&[0.0, 30.0], &[14.0, 16.0], &[15.0, 15.0], &[30.0, 0.0]];
-        let d = crowding_distance(&pts);
-        // Interior points: index 1 and 2; both have the same neighbour gap
-        // here, so just check they are finite and positive.
-        assert!(d[1] > 0.0 && d[2] > 0.0);
-        assert!(d[0].is_infinite() && d[3].is_infinite());
-    }
-
-    #[test]
-    fn crowding_small_sets() {
-        assert!(crowding_distance(&[]).is_empty());
-        let one: Vec<&[f64]> = vec![&[1.0, 1.0]];
-        assert_eq!(crowding_distance(&one), vec![f64::INFINITY]);
-        let two: Vec<&[f64]> = vec![&[1.0, 2.0], &[2.0, 1.0]];
-        assert_eq!(crowding_distance(&two), vec![f64::INFINITY; 2]);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! where `S` is the solver's front and `S*` the true Pareto set from the
 //! exhaustive solver. We also provide inverted GD (coverage of the true
-//! front) and 2-D hypervolume, which the ablation benches use.
+//! front) and 2-D hypervolume, which `examples/parameter_tuning` prints.
 
 use crate::pareto::ParetoFront;
 

@@ -2,7 +2,7 @@
 
 use bbsched_core::chromosome::Chromosome;
 use bbsched_core::decision::{choose_preferred, DecisionRule};
-use bbsched_core::pareto::{crowding_distance, dominates, ParetoFront, Solution};
+use bbsched_core::pareto::{dominates, ParetoFront, Solution};
 use bbsched_core::problem::{JobDemand, KnapsackMooProblem, MooProblem, RepairStyle};
 use bbsched_core::quality::{generational_distance, hypervolume_2d};
 use bbsched_core::resource::{DemandSlot, ResourceModel, ResourceSpec};
@@ -142,17 +142,6 @@ proptest! {
             .map(|v| v[0])
             .fold(f64::NEG_INFINITY, f64::max);
         prop_assert_eq!(never.objectives[0], max_nodes);
-    }
-
-    /// Crowding distances are nonnegative and the count matches.
-    #[test]
-    fn crowding_shape(points in proptest::collection::vec(vec2(), 0..30)) {
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
-        let d = crowding_distance(&refs);
-        prop_assert_eq!(d.len(), points.len());
-        for v in d {
-            prop_assert!(v >= 0.0);
-        }
     }
 
     /// Evaluate is additive: the objectives of a selection equal the sum

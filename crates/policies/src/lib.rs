@@ -108,8 +108,6 @@ pub struct GaParams {
     pub mutation_rate: f64,
     /// Base seed, mixed with the invocation counter per call.
     pub base_seed: u64,
-    /// Worker threads for population evaluation.
-    pub threads: usize,
     /// Enable the GA's saturation polish (see
     /// [`bbsched_core::ga::GaConfig::saturate`]). Off by default for
     /// fidelity to the paper's operator set.
@@ -123,7 +121,6 @@ impl Default for GaParams {
             generations: 500,
             mutation_rate: 0.0005,
             base_seed: 0xbb5c_11ed,
-            threads: 1,
             saturate: false,
         }
     }
@@ -138,9 +135,7 @@ impl GaParams {
             mutation_rate: self.mutation_rate,
             seed: invocation_seed(self.base_seed, invocation),
             mode,
-            threads: self.threads,
             saturate: self.saturate,
-            archive: false,
         }
     }
 }

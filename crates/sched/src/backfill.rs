@@ -1074,10 +1074,12 @@ impl ReleaseMirror {
 ///   accept once the remaining tail fits) on packed-state profiles.
 ///
 /// The scan and skyline are acceleration indexes only — results never
-/// depend on which evaluator answered, and debug builds cross-check
-/// every scan answer against the frozen linear-walk queries
+/// depend on which evaluator answered. Debug builds cross-check every
+/// scan answer against the frozen linear-walk queries
 /// ([`AvailabilityProfile::fits_interval_linear`],
-/// [`AvailabilityProfile::earliest_start_linear`]).
+/// [`AvailabilityProfile::earliest_start_linear`]), and every skyline
+/// walk answer against the same walk with the skyline's early accept
+/// off.
 #[derive(Clone, Debug)]
 pub struct AvailabilityProfile {
     times: Vec<f64>,
@@ -1369,19 +1371,24 @@ impl AvailabilityProfile {
     /// state with [`PoolState::free_fits`].
     pub fn fits_interval_linear(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
         if self.columnar() {
-            self.fits_interval_walk(d, start, duration, |i| {
+            return self.fits_interval_walk::<false>(d, start, duration, |i| {
                 self.machine.free_fits(&self.col_free(i), d)
-            })
-        } else {
-            self.fits_interval_walk(d, start, duration, |i| {
-                self.machine.free_fits(&self.frees[i], d)
-            })
+            });
         }
+        let seg_fits = |i: usize| self.machine.free_fits(&self.frees[i], d);
+        let fits = self.fits_interval_walk::<true>(d, start, duration, seg_fits);
+        debug_assert_eq!(
+            fits,
+            self.fits_interval_walk::<false>(d, start, duration, seg_fits),
+            "skyline early accept diverged from the plain walk"
+        );
+        fits
     }
 
     /// [`AvailabilityProfile::fits_interval_linear`]'s walk over the
-    /// segment-fit predicate `seg_fits` (picked once per query).
-    fn fits_interval_walk(
+    /// segment-fit predicate `seg_fits` (picked once per query); `SKYLINE`
+    /// enables the skyline's early accept ([`AvailabilityProfile::tail_fits`]).
+    fn fits_interval_walk<const SKYLINE: bool>(
         &self,
         d: &JobDemand,
         start: f64,
@@ -1390,7 +1397,7 @@ impl AvailabilityProfile {
     ) -> bool {
         let end = start + duration;
         let i0 = self.seg_index(start);
-        if self.tail_fits(i0, d) {
+        if SKYLINE && self.tail_fits(i0, d) {
             // Every segment from `start`'s onward fits.
             return true;
         }
@@ -1400,7 +1407,7 @@ impl AvailabilityProfile {
         // First boundary strictly greater than `start`.
         let mut i = self.times.partition_point(|t| *t <= start);
         while i < self.times.len() && self.times[i] < end {
-            if self.tail_fits(i, d) {
+            if SKYLINE && self.tail_fits(i, d) {
                 return true;
             }
             if !seg_fits(i) {
@@ -1498,19 +1505,24 @@ impl AvailabilityProfile {
     /// accepts in O(1) once the remaining tail fits.
     pub fn earliest_start_linear(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
         if self.columnar() {
-            self.earliest_start_walk(d, from, duration, |i| {
+            return self.earliest_start_walk::<false>(d, from, duration, |i| {
                 self.machine.free_fits(&self.col_free(i), d)
-            })
-        } else {
-            self.earliest_start_walk(d, from, duration, |i| {
-                self.machine.free_fits(&self.frees[i], d)
-            })
+            });
         }
+        let seg_fits = |i: usize| self.machine.free_fits(&self.frees[i], d);
+        let t = self.earliest_start_walk::<true>(d, from, duration, seg_fits);
+        debug_assert_eq!(
+            t.to_bits(),
+            self.earliest_start_walk::<false>(d, from, duration, seg_fits).to_bits(),
+            "skyline early accept diverged from the plain walk"
+        );
+        t
     }
 
     /// [`AvailabilityProfile::earliest_start_linear`]'s walk over the
-    /// segment-fit predicate `seg_fits` (picked once per query).
-    fn earliest_start_walk(
+    /// segment-fit predicate `seg_fits` (picked once per query); `SKYLINE`
+    /// enables the skyline's early accept ([`AvailabilityProfile::tail_fits`]).
+    fn earliest_start_walk<const SKYLINE: bool>(
         &self,
         d: &JobDemand,
         from: f64,
@@ -1518,7 +1530,7 @@ impl AvailabilityProfile {
         seg_fits: impl Fn(usize) -> bool,
     ) -> f64 {
         let n = self.times.len();
-        if self.tail_fits(self.seg_index(from), d) {
+        if SKYLINE && self.tail_fits(self.seg_index(from), d) {
             // Every segment from `from`'s onward fits: accept in O(1).
             return from;
         }
@@ -1542,7 +1554,7 @@ impl AvailabilityProfile {
         'candidate: loop {
             let end = cand + duration;
             while i < n && self.times[i] < end {
-                if self.tail_fits(i, d) {
+                if SKYLINE && self.tail_fits(i, d) {
                     return cand;
                 }
                 if !seg_fits(i) {

@@ -7,16 +7,11 @@
 //! from index 0 in its queries, and [`RebuildPerPassConservative`]
 //! constructs a fresh profile each backfill pass.
 //!
-//! It exists for two reasons and must not be "improved":
-//!
-//! 1. **Equivalence oracle** — the golden-equivalence suite and the
-//!    profile property tests prove the incremental
-//!    [`crate::ConservativeBackfill`] produces bit-identical schedules and
-//!    profiles to this reference.
-//! 2. **Benchmark reference** — the `simulate_large` bench family runs the
-//!    same 20k-job trace through both paths
-//!    ([`crate::BackfillAlgorithm::ConservativeRebuild`] selects this one)
-//!    to measure the speedup.
+//! It exists as the **equivalence oracle** and must not be "improved":
+//! the golden-equivalence suite and the profile property tests prove the
+//! incremental [`crate::ConservativeBackfill`] produces bit-identical
+//! schedules and profiles to this reference
+//! ([`crate::BackfillAlgorithm::ConservativeRebuild`] selects it).
 
 use crate::backfill::{BackfillCtx, BackfillStrategy, TIME_EPS};
 use bbsched_core::pools::{NodeAssignment, PoolState};

@@ -17,8 +17,9 @@
 //!
 //! * the discrete-event simulator (`bbsched-sim`) — virtual time, a
 //!   completion-event heap fed by start decisions;
-//! * the online replay driver ([`replay`], surfaced as `cli replay`) —
-//!   real submission order from a newline-delimited JSON event stream.
+//! * the online replay driver ([`replay`], surfaced as `bbsched serve`,
+//!   also spelled `bbsched replay`) — real submission order from a
+//!   newline-delimited JSON event stream.
 //!
 //! Both emit byte-identical decision streams for the same events, which
 //! the driver-equivalence golden suites pin.
@@ -37,7 +38,7 @@
 //!   [`BackfillStrategy`] trait, plus the availability-profile machinery
 //!   (DESIGN.md §10);
 //! * [`legacy_profile`] — the frozen rebuild-per-pass conservative path,
-//!   kept as the equivalence oracle and benchmark reference;
+//!   kept as the equivalence oracle;
 //! * [`observer`] — the [`SchedObserver`] callbacks everything observable
 //!   flows through; [`Recorder`] collects the classic [`SimResult`],
 //!   [`DecisionLog`] the canonical decision stream;
