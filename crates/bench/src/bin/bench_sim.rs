@@ -212,7 +212,7 @@ fn main() {
         // EASY runs the paper's window scope; conservative runs
         // queue-scoped (the textbook discipline reserves for *every*
         // waiting job), which is exactly the deep-profile regime the
-        // persistent profile and skyline index target.
+        // persistent profile and column scan target.
         let combos: [(&str, BaseScheduler, BackfillAlgorithm, BackfillScope); 4] = [
             ("easy_fcfs", BaseScheduler::Fcfs, BackfillAlgorithm::Easy, BackfillScope::Window),
             ("easy_wfp", BaseScheduler::Wfp, BackfillAlgorithm::Easy, BackfillScope::Window),
@@ -258,8 +258,8 @@ fn main() {
             });
         }
         // Flavoured variant (§5 case study): per-node SSDs in two
-        // flavours keep the profile's packed per-segment states, so the
-        // skyline walk answers the conservative planner's queries.
+        // flavours add one suffix-count column per flavour to the
+        // profile, which the column scan answers like any other column.
         let ssd_trace = add_ssd(&t, SsdMix::S6, 77);
         let ssd_system = profile.system.clone().with_ssd_split();
         let cfg = SimConfig {

@@ -716,9 +716,9 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
     }
 
-    /// A checkpoint whose `ga` map still carries the `threads` key that
-    /// `GaParams` once had decodes to the same checkpoint: the decoder
-    /// ignores keys it does not know.
+    /// A checkpoint whose `ga` map still carries the `threads` or
+    /// `saturate` key that `GaParams` once had decodes to the same
+    /// checkpoint: the decoder ignores keys it does not know.
     #[test]
     fn checkpoint_with_a_threads_key_decodes() {
         let profile = parse_machine("cori").unwrap().scaled(0.05);
@@ -731,11 +731,13 @@ mod tests {
         let ckpt = DaemonCheckpoint::new(&replayer, PolicyKind::Baseline, GaParams::default(), 40);
         let json = serde_json::to_string(&ckpt).unwrap();
         assert_eq!(json.matches(r#""ga":{"#).count(), 1);
-        let old = json.replace(r#""ga":{"#, r#""ga":{"threads":4,"#);
-        let (decoded, encoding) =
-            bbsched_sched::durability::from_bytes::<DaemonCheckpoint>(old.as_bytes()).unwrap();
-        assert_eq!(encoding, Encoding::Json);
-        assert_eq!(decoded, ckpt);
+        for key in [r#""threads":4,"#, r#""saturate":false,"#] {
+            let old = json.replace(r#""ga":{"#, &format!(r#""ga":{{{key}"#));
+            let (decoded, encoding) =
+                bbsched_sched::durability::from_bytes::<DaemonCheckpoint>(old.as_bytes()).unwrap();
+            assert_eq!(encoding, Encoding::Json);
+            assert_eq!(decoded, ckpt, "checkpoint with {key} in its `ga` map");
+        }
     }
 
     /// The fixture's event lines plus two control lines.

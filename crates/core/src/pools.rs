@@ -96,13 +96,11 @@ struct PoolTopology {
 /// per-flavour free node counts, without the topology and capacity tables
 /// that are identical for every state describing the same machine.
 ///
-/// Availability profiles hold thousands of states of one machine; packing
-/// only the ~64 mutable bytes per segment (instead of the full ~240-byte
-/// [`PoolState`]) keeps their scan/splice working set in L1. All fit and
-/// allocation arithmetic is interpreted against an owning state via
-/// [`PoolState::free_fits`] / [`PoolState::free_alloc`], which share their
-/// implementation with [`PoolState::fits`] / [`PoolState::alloc`] — the two
-/// representations cannot drift.
+/// Availability profiles store their segments as per-resource columns
+/// and materialize a segment's slice with [`PoolState::free_state_from`];
+/// fit arithmetic on a slice is interpreted against an owning state via
+/// [`PoolState::free_fits`], which [`PoolState::fits`] delegates to — the
+/// two representations cannot drift.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FreeState {
     free: ResourceVector,
@@ -387,14 +385,30 @@ impl PoolState {
         self.topo.len
     }
 
-    /// This state's free slice with each modelled resource `r`'s free
-    /// amount replaced by `free(r)` (the values [`PoolState::free_fits`]
-    /// compares pooled demands against). Flavour pools and unmodelled
-    /// slots keep this state's values.
-    pub fn free_state_from(&self, free: impl Fn(usize) -> f64) -> FreeState {
+    /// This state's free slice with the `j`-th modelled pooled resource's
+    /// free amount replaced by `free(j)` (pooled resources counted in
+    /// resource order, the per-node one skipped) and, on a machine with a
+    /// per-node resource, flavour `k`'s free node count replaced by
+    /// `flavor_free(k)` — every value [`PoolState::free_fits`] compares
+    /// against. The per-node resource's own slot, unmodelled slots and
+    /// unused flavour slots keep this state's values.
+    pub fn free_state_from(
+        &self,
+        free: impl Fn(usize) -> f64,
+        flavor_free: impl Fn(usize) -> u32,
+    ) -> FreeState {
         let mut f = self.free_state();
+        let mut j = 0;
         for r in 0..self.topo.len {
-            f.free.set(r, free(r));
+            if self.topo.per_node != Some(r as u8) {
+                f.free.set(r, free(j));
+                j += 1;
+            }
+        }
+        if self.topo.per_node.is_some() {
+            for (k, n) in f.flavor_free.iter_mut().enumerate().take(self.topo.flavors.len()) {
+                *n = flavor_free(k);
+            }
         }
         f
     }
@@ -451,33 +465,6 @@ impl PoolState {
         asn
     }
 
-    /// Allocates `d` from the free slice `f` (interpreted against this
-    /// state's topology), returning the per-flavour node split.
-    /// `self.alloc(d)` delegates here, so the mutation applied to
-    /// `self.free_state()` is exactly the one `alloc` applies to `self`.
-    ///
-    /// # Panics
-    /// Panics if the demand does not fit `f` (call
-    /// [`PoolState::free_fits`] first).
-    pub fn free_alloc(&self, f: &mut FreeState, d: &JobDemand) -> NodeAssignment {
-        assert!(self.free_fits(f, d), "alloc called with non-fitting demand {d:?} on {f:?}");
-        self.free_alloc_unchecked(f, d)
-    }
-
-    /// [`PoolState::free_alloc`] without the fit assertion, for callers
-    /// that have already verified the demand fits — e.g. an availability
-    /// profile carving a reservation across an interval it has just
-    /// fit-checked as a whole. Applies the exact same mutation as
-    /// `free_alloc` (same subtractions, in the same order), so results
-    /// are bit-identical; fitting is debug-asserted only.
-    pub fn free_carve(&self, f: &mut FreeState, d: &JobDemand) -> NodeAssignment {
-        debug_assert!(
-            self.free_fits(f, d),
-            "free_carve called with non-fitting demand {d:?} on {f:?}"
-        );
-        self.free_alloc_unchecked(f, d)
-    }
-
     fn free_alloc_unchecked(&self, f: &mut FreeState, d: &JobDemand) -> NodeAssignment {
         for r in 1..self.topo.len {
             if self.topo.per_node != Some(r as u8) {
@@ -517,21 +504,12 @@ impl PoolState {
     /// machine).
     pub fn component_min(&self, other: &PoolState) -> PoolState {
         assert_eq!(self.topo, other.topo, "component_min requires matching pool topologies");
-        let a = FreeState { free: self.free, flavor_free: self.flavor_free };
-        let b = FreeState { free: other.free, flavor_free: other.flavor_free };
-        self.with_free(&self.free_component_min(&a, &b))
-    }
-
-    /// Component-wise minimum of two free slices of this machine:
-    /// [`PoolState::component_min`] on the packed representation (and the
-    /// implementation the full-state version delegates to).
-    pub fn free_component_min(&self, a: &FreeState, b: &FreeState) -> FreeState {
-        let mut out = *a;
-        out.free = a.free.component_min(&b.free);
+        let mut out = *self;
+        out.free = self.free.component_min(&other.free);
         if self.topo.per_node.is_some() {
             let mut sum = 0u32;
             for k in 0..self.topo.flavors.len() {
-                out.flavor_free[k] = a.flavor_free[k].min(b.flavor_free[k]);
+                out.flavor_free[k] = self.flavor_free[k].min(other.flavor_free[k]);
                 sum += out.flavor_free[k];
             }
             // Flavoured states maintain nodes == Σ flavour pools; taking

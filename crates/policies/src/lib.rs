@@ -108,21 +108,11 @@ pub struct GaParams {
     pub mutation_rate: f64,
     /// Base seed, mixed with the invocation counter per call.
     pub base_seed: u64,
-    /// Enable the GA's saturation polish (see
-    /// [`bbsched_core::ga::GaConfig::saturate`]). Off by default for
-    /// fidelity to the paper's operator set.
-    pub saturate: bool,
 }
 
 impl Default for GaParams {
     fn default() -> Self {
-        Self {
-            population: 20,
-            generations: 500,
-            mutation_rate: 0.0005,
-            base_seed: 0xbb5c_11ed,
-            saturate: false,
-        }
+        Self { population: 20, generations: 500, mutation_rate: 0.0005, base_seed: 0xbb5c_11ed }
     }
 }
 
@@ -135,7 +125,7 @@ impl GaParams {
             mutation_rate: self.mutation_rate,
             seed: invocation_seed(self.base_seed, invocation),
             mode,
-            saturate: self.saturate,
+            saturate: false,
         }
     }
 }

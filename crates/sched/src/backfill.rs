@@ -41,35 +41,33 @@
 //!   ([`AvailabilityProfile::advance_origin`]) instead of refolding and
 //!   re-querying every candidate, bit-identically (see the fast path in
 //!   [`ConservativeBackfill`]'s pass);
-//! * **segment storage and query evaluators** picked once per profile
-//!   from the machine shape: machines whose resources are all pooled
-//!   (no per-node flavours) store the segments' free counters only as
-//!   per-resource columns and answer `fits_interval`/`earliest_start`
-//!   with a branchless SIMD-friendly chunk scan; machines with
-//!   flavoured per-node resources store packed per-segment states and
-//!   answer every query with the linear walk, accelerated by a
-//!   suffix-minima skyline. The walk is also the scan's debug-build
-//!   oracle;
+//! * **column storage and the column scan** — one layout for every
+//!   machine: each segment's free counters live in per-column vectors
+//!   (one per modelled pooled resource, plus one flavour suffix count
+//!   per flavour on machines with per-node SSDs), so every fit test is
+//!   one compare per column and `fits_interval`/`earliest_start` run as
+//!   a branchless SIMD-friendly chunk scan. The linear walk over
+//!   materialized states is the scan's debug-build oracle;
 //! * a **rank-carrying candidate step** — each conservative candidate is
 //!   one query and one carve at the same slot: the dominance memo hands
 //!   the query the rank of the boundary it starts from, the column scan
 //!   returns its answer's rank and the insertion rank of the
 //!   reservation's end ([`AvailabilityProfile::reserve_earliest`]'s
 //!   core), and the carve splits and subtracts at those ranks. So a
-//!   column-stored candidate searches `times` nowhere; the memo keeps
+//!   candidate searches `times` nowhere; the memo keeps
 //!   its ranks current by shifting them past each split-in boundary
 //!   (debug builds check every carried rank against a binary search).
 //!
 //! The EASY shadow walk ([`shadow_and_leftover`]) deliberately does *not*
-//! use the indexes: it is a single early-exiting pass over the release
-//! order per invocation, with no repeated queries over which an index
-//! build could amortize (DESIGN.md §10).
+//! build a profile: it is a single early-exiting pass over the release
+//! order per invocation, with no repeated queries over which a fold
+//! could amortize (DESIGN.md §10).
 
 use crate::alloc::{AllocLedger, LedgerDelta, RunningJob};
 use crate::error::SchedError;
 use bbsched_core::pools::{FreeState, NodeAssignment, PoolState, FIT_EPS};
 use bbsched_core::problem::JobDemand;
-use bbsched_core::resource::MAX_RESOURCES;
+use bbsched_core::resource::{FlavorSet, MAX_FLAVORS, MAX_RESOURCES};
 use serde::{Deserialize, Serialize};
 
 /// Tolerance for "finishes before the shadow time" comparisons.
@@ -211,15 +209,6 @@ impl<'e> BackfillCtx<'e, '_> {
         shadow_and_leftover(&self.core.ledger, &self.core.demands[head_idx], self.now)
     }
 
-    /// The running jobs' `(est_end, demand, assignment)` release schedule
-    /// in deterministic `(est_end, index)` order — what
-    /// [`AvailabilityProfile::new`] consumes. Allocates a fresh list per
-    /// call; incremental strategies should maintain a [`ReleaseMirror`]
-    /// instead.
-    pub fn release_schedule(&self) -> Vec<(f64, JobDemand, NodeAssignment)> {
-        self.core.ledger.release_schedule()
-    }
-
     /// Starts job `idx` now with [`crate::StartReason::Backfill`].
     ///
     /// `credited` controls the run's `backfilled` counter: pass `true`
@@ -262,9 +251,8 @@ pub trait BackfillStrategy: Send {
     fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>);
 
     /// State this strategy carries across invocations as a serde value
-    /// tree, or `None` when it is stateless (EASY, the rebuild-per-pass
-    /// reference). Stateful strategies override this together with
-    /// [`BackfillStrategy::restore_state`].
+    /// tree, or `None` when it is stateless (EASY). Stateful strategies
+    /// override this together with [`BackfillStrategy::restore_state`].
     fn snapshot_state(&self) -> Option<serde::Value> {
         None
     }
@@ -363,9 +351,8 @@ impl BackfillStrategy for EasyBackfill {
 /// the ledger untouched (pure arrivals) replay the previous pass's
 /// memoized reservations instead of re-querying every candidate — see
 /// the fast path in [`BackfillStrategy::pass`]. Schedules are
-/// bit-identical to the rebuild-per-pass reference
-/// ([`crate::legacy_profile::RebuildPerPassConservative`]) — proven by the
-/// golden-equivalence suite.
+/// bit-identical to a rebuild-per-pass reference over
+/// [`crate::LegacyProfile`] — proven by the golden-equivalence suite.
 #[derive(Clone, Debug, Default)]
 pub struct ConservativeBackfill {
     mirror: ReleaseMirror,
@@ -394,7 +381,7 @@ pub struct ConservativeBackfill {
 
 impl ConservativeBackfill {
     /// Extracts the strategy's owned cross-invocation state: the release
-    /// mirror and the persistent availability profile (with its skyline
+    /// mirror and the persistent availability profile (with its
     /// watermark). The per-pass candidate ordering is scratch and is not
     /// part of the state.
     pub fn snapshot(&self) -> ConservativeState {
@@ -437,7 +424,7 @@ impl ConservativeBackfill {
     /// memoized prefix from a scratch refold — every query recomputed
     /// and asserted against its memoized outcome, every carve re-applied
     /// — and asserts the origin-advanced persistent profile is
-    /// bit-identical (boundaries, free counters, skyline watermark) to
+    /// bit-identical (boundaries, free counters, watermark) to
     /// that from-scratch recompute.
     #[cfg(debug_assertions)]
     fn verify_replay(&self, ctx: &BackfillCtx<'_, '_>) {
@@ -1024,8 +1011,20 @@ impl ReleaseMirror {
 
 // ---------------------------------------------------------------------------
 // Future resource-availability profiles, the machinery behind conservative
-// backfilling (formerly `crate::profile`).
+// backfilling.
 // ---------------------------------------------------------------------------
+
+/// Most columns a profile stores: every modelled resource but the
+/// per-node one, plus one suffix column per flavour.
+const MAX_COLS: usize = MAX_RESOURCES + MAX_FLAVORS;
+
+/// The modelled pooled resources of `machine` in resource order (nodes
+/// first, the per-node resource skipped): the resources behind a
+/// profile's leading columns.
+fn pooled_resources(machine: &PoolState) -> impl Iterator<Item = usize> {
+    let per_node = machine.per_node_index();
+    (0..machine.resource_len()).filter(move |&r| Some(r) != per_node)
+}
 
 /// A piecewise-constant view of free resources from "now" to infinity.
 ///
@@ -1039,70 +1038,58 @@ impl ReleaseMirror {
 /// approximation.
 ///
 /// Invariant: `times` is strictly increasing, `times[0]` is the profile's
-/// origin ("now"), and `states[i]` holds on `[times[i], times[i+1])`
-/// (the last state holds forever).
+/// origin ("now"), and segment `i` holds on `[times[i], times[i+1])`
+/// (the last segment holds forever).
 ///
 /// A profile stores one [`PoolState`] **machine template** (topology,
 /// capacities — identical across every segment of a profile by
 /// construction, since all segments derive from the same pool) plus
-/// each segment's mutable free counters, in one of two layouts picked
-/// once per profile from the machine shape ([`PoolState::ssd_aware`]):
+/// each segment's mutable free counters as columns, `cols[j][i]` being
+/// column `j`'s value on segment `i`:
 ///
-/// * **Columns** (machines whose resources are all pooled — no per-node
-///   flavours — which covers the CPU + burst-buffer configurations the
-///   paper studies): `cols[r][i]` is segment `i`'s free amount of
-///   resource `r`, and nothing else is stored per segment. Flavour pools
-///   and unmodelled slots never change after the fold on such machines,
-///   so they live in the template alone.
-/// * **Packed states** (flavoured machines): a 64-byte [`FreeState`] per
-///   segment in `frees`, which the flavour-pool fit check
-///   ([`PoolState::free_fits`]) and the skyline read.
+/// * one column per modelled pooled resource, in resource order (nodes
+///   first): its free amount;
+/// * on machines with a flavoured per-node resource (the §5 local SSDs),
+///   one column per flavour `k`: the suffix count `S_k = Σ_{j≥k}` free
+///   nodes of flavour `j`, an exact integer held in an `f64`.
 ///
-/// Full `PoolState`s are materialized only at the API boundary
-/// (`state_at`, `states`, `snapshot`) by stamping the segment's free
-/// counters onto the template, so the snapshot wire format does not
-/// depend on the layout.
+/// The per-node resource's own free slot and any unmodelled slot never
+/// change after the fold (nor do the flavour pools of a machine without
+/// a per-node resource), so they live in the template alone. Full
+/// `PoolState`s are materialized only at the API boundary (`state_at`,
+/// `states`, `snapshot`) by stamping a segment's columns onto the
+/// template, flavour `k`'s count being `S_k − S_{k+1}`.
 ///
-/// Queries dispatch to one of two evaluators, picked by the layout:
-///
-/// * **Column scan** (column-stored profiles): the fit test over a run
-///   of segments is a branchless 8-wide chunked compare per resource
-///   column (`scan_fail_mask8`, compiled to SIMD), with window
-///   boundaries checked once per chunk rather than once per candidate.
-/// * **Linear walk** (packed-state profiles, and the scan's oracle): the
-///   sequential segment walk, with the suffix-minima skyline (O(1)
-///   accept once the remaining tail fits) on packed-state profiles.
-///
-/// The scan and skyline are acceleration indexes only — results never
-/// depend on which evaluator answered. Debug builds cross-check every
-/// scan answer against the frozen linear-walk queries
+/// Every comparison of [`PoolState::free_fits`] is then one compare per
+/// column: nodes exactly, pooled amounts within [`FIT_EPS`], and a
+/// per-node demand of flavour class `c` as `S_c < nodes` (enough nodes of
+/// a sufficient flavour; the `FIT_EPS` compare is exact on integer-valued
+/// columns). So one evaluator answers every query, the **column scan**: a
+/// branchless 8-wide chunked compare over the columns that can fail the
+/// demand (all pooled columns plus the one suffix column of its flavour
+/// class; `scan_fail_mask8` for the two-column CPU + burst-buffer layout,
+/// compiled to SIMD), with window boundaries checked once per chunk
+/// rather than once per candidate. Debug builds cross-check every scan answer against the
+/// linear walk over materialized states
 /// ([`AvailabilityProfile::fits_interval_linear`],
-/// [`AvailabilityProfile::earliest_start_linear`]), and every skyline
-/// walk answer against the same walk with the skyline's early accept
-/// off.
+/// [`AvailabilityProfile::earliest_start_linear`]).
 #[derive(Clone, Debug)]
 pub struct AvailabilityProfile {
     times: Vec<f64>,
-    /// Column storage (pooled machines; empty on flavoured ones):
-    /// `cols[r][i]` is the free amount of resource `r` on `[times[i],
-    /// times[i+1])` (the last segment holds forever).
+    /// `cols[j][i]` is column `j`'s value on `[times[i], times[i+1])`
+    /// (the last segment holds forever): the pooled resources' free
+    /// amounts, then the flavour suffix counts.
     cols: Vec<Vec<f64>>,
-    /// Packed-state storage (flavoured machines; empty on pooled ones):
-    /// the free counters of segment `i`, whose full state is
-    /// `machine.with_free(&frees[i])`.
-    frees: Vec<FreeState>,
     /// Topology/capacity template shared by every segment: the pool the
-    /// profile was folded from. On column-stored profiles its flavour
-    /// pools and unmodelled slots complete every segment's state; its
-    /// modelled free amounts are never read.
+    /// profile was folded from. Its per-node slot, unmodelled slots and
+    /// (on machines without a per-node resource) flavour pools complete
+    /// every segment's state; its column-held amounts are never read.
     machine: PoolState,
-    /// `skyline[i]` = component-wise minimum of `frees[i..]`; valid for
-    /// indices `>= skyline_clean_from`. Accelerates the linear queries
-    /// on packed-state profiles; always empty on column-stored ones.
-    skyline: Vec<FreeState>,
-    /// Watermark below which skyline entries are invalidated by
-    /// reservations. Part of the snapshot wire format ([`ProfileState`])
-    /// and evolves identically whichever storage is active.
+    /// `CoreSnapshot` v1 wire state only: the watermark below which a
+    /// since-deleted suffix-minima index was invalidated by reservations.
+    /// Nothing reads it; it is maintained exactly as that index kept it
+    /// (reset by a fold, raised to a carve's end rank, shifted by split-in
+    /// boundaries and origin advances) so snapshots stay byte-identical.
     skyline_clean_from: usize,
 }
 
@@ -1114,9 +1101,7 @@ impl Default for AvailabilityProfile {
         Self {
             times: Vec::new(),
             cols: Vec::new(),
-            frees: Vec::new(),
             machine: PoolState::cpu_bb(0, 0.0),
-            skyline: Vec::new(),
             skyline_clean_from: 0,
         }
     }
@@ -1125,8 +1110,8 @@ impl Default for AvailabilityProfile {
 impl PartialEq for AvailabilityProfile {
     /// Profiles are equal when their piecewise-constant functions are:
     /// same boundaries and the same materialized per-segment states
-    /// (machine shape plus free counters). The storage layout and
-    /// skyline take no part in equality.
+    /// (machine shape plus free counters). The watermark takes no part in
+    /// equality.
     fn eq(&self, other: &Self) -> bool {
         self.times == other.times && self.states() == other.states()
     }
@@ -1158,8 +1143,8 @@ impl AvailabilityProfile {
     /// dropping the segments that ended at or before `now` reproduces it
     /// bit for bit — boundaries beyond `now` are untouched, the origin
     /// segment's counters already accumulate the releases a refold would
-    /// clamp into the origin, and the skyline watermark shifts with the
-    /// dropped segment count (its index-shifted evolution is identical).
+    /// clamp into the origin, and the watermark shifts with the dropped
+    /// segment count (its index-shifted evolution is identical).
     ///
     /// Returns `false` without mutating when the advance cannot
     /// reproduce the refold exactly: a boundary inside `(now, now +
@@ -1180,13 +1165,8 @@ impl AvailabilityProfile {
         }
         if k > 0 {
             self.times.drain(..k);
-            if self.columnar() {
-                for col in &mut self.cols {
-                    col.drain(..k);
-                }
-            } else {
-                self.frees.drain(..k);
-                self.skyline.drain(..k);
+            for col in &mut self.cols {
+                col.drain(..k);
             }
             self.skyline_clean_from = self.skyline_clean_from.saturating_sub(k);
         }
@@ -1198,7 +1178,7 @@ impl AvailabilityProfile {
     /// ascending by time (ties in any deterministic order; times below
     /// `now` are clamped to it, which preserves sortedness). Reuses the
     /// internal buffers — no allocation once capacity is warm — and
-    /// rebuilds the skyline index. This is the incremental path's fold:
+    /// resets the watermark. This is the incremental path's fold:
     /// bit-identical to [`AvailabilityProfile::new`] on the same releases.
     ///
     /// # Panics
@@ -1212,11 +1192,12 @@ impl AvailabilityProfile {
         self.times.clear();
         self.machine = pool;
         self.times.push(now);
-        self.select_storage();
+        self.reset_columns();
+        self.skyline_clean_from = 0;
         // Fold with a full-state accumulator (identical `free` arithmetic
-        // to a full-state profile), storing only each segment's free
-        // counters; a boundary within 1e-12 of the previous one replaces
-        // that segment instead of opening a new one.
+        // to a full-state profile), storing only each segment's columns;
+        // a boundary within 1e-12 of the previous one replaces that
+        // segment instead of opening a new one.
         let mut acc = pool;
         self.push_segment(&acc);
         let mut prev = f64::NEG_INFINITY;
@@ -1226,21 +1207,27 @@ impl AvailabilityProfile {
             prev = t;
             acc.free(&d, asn);
             if (t - *self.times.last().unwrap()).abs() < 1e-12 {
-                self.pop_segment();
+                for col in &mut self.cols {
+                    col.pop();
+                }
             } else {
                 self.times.push(t);
             }
             self.push_segment(&acc);
         }
-        self.rebuild_skyline();
     }
 
-    /// Empties the segment storage and picks its layout from the machine
-    /// shape: one column per resource on pooled machines, packed states
-    /// (`cols` empty) on flavoured ones.
-    fn select_storage(&mut self) {
-        self.frees.clear();
-        let ncols = if self.machine.ssd_aware() { 0 } else { self.machine.resource_len() };
+    /// Number of pooled-resource columns; the flavour suffix columns
+    /// follow them.
+    #[inline]
+    fn pooled_cols(&self) -> usize {
+        self.machine.resource_len() - usize::from(self.machine.ssd_aware())
+    }
+
+    /// Empties the columns and sizes them for the machine: one per pooled
+    /// resource plus one per flavour of the per-node resource.
+    fn reset_columns(&mut self) {
+        let ncols = self.pooled_cols() + self.machine.flavors().map_or(0, FlavorSet::len);
         self.cols.truncate(ncols);
         self.cols.resize_with(ncols, Vec::new);
         for col in &mut self.cols {
@@ -1248,46 +1235,18 @@ impl AvailabilityProfile {
         }
     }
 
-    /// Appends `state`'s free counters as the last segment.
+    /// Appends `state`'s free counters as the last segment: its pooled
+    /// free amounts, then its flavour suffix counts.
     fn push_segment(&mut self, state: &PoolState) {
-        if self.columnar() {
-            for (r, col) in self.cols.iter_mut().enumerate() {
-                col.push(state.free_of(r));
-            }
-        } else {
-            self.frees.push(state.free_state());
+        let pooled = self.pooled_cols();
+        let (amounts, suffixes) = self.cols.split_at_mut(pooled);
+        for (col, r) in amounts.iter_mut().zip(pooled_resources(state)) {
+            col.push(state.free_of(r));
         }
-    }
-
-    /// Drops the last segment's free counters.
-    fn pop_segment(&mut self) {
-        for col in &mut self.cols {
-            col.pop();
-        }
-        self.frees.pop();
-    }
-
-    /// Whether this profile stores its segments as columns (pooled
-    /// machines), answered by the column scan.
-    #[inline]
-    fn columnar(&self) -> bool {
-        !self.cols.is_empty()
-    }
-
-    /// Rebuilds the suffix-minima index over the packed segments (left
-    /// empty on column-stored profiles, whose scan needs no skyline).
-    /// The `skyline_clean_from` watermark is wire state and is reset
-    /// identically for either layout.
-    fn rebuild_skyline(&mut self) {
-        self.skyline.clear();
-        self.skyline_clean_from = 0;
-        if self.columnar() {
-            return;
-        }
-        let n = self.frees.len();
-        self.skyline.resize(n, self.frees[n - 1]);
-        for i in (0..n - 1).rev() {
-            self.skyline[i] = self.machine.free_component_min(&self.frees[i], &self.skyline[i + 1]);
+        let mut s = 0u64;
+        for (k, col) in suffixes.iter_mut().enumerate().rev() {
+            s += u64::from(state.flavor_free(k));
+            col.push(s as f64);
         }
     }
 
@@ -1308,21 +1267,12 @@ impl AvailabilityProfile {
         (0..self.times.len()).map(|i| self.machine.with_free(&self.free_at(i))).collect()
     }
 
-    /// Segment `i`'s packed free counters, whichever layout stores them.
-    /// Off the query paths: those pick their segment reader once per
-    /// query, never per segment.
+    /// Segment `i`'s free counters: the template with the column
+    /// values stamped in.
     fn free_at(&self, i: usize) -> FreeState {
-        if self.columnar() {
-            self.col_free(i)
-        } else {
-            self.frees[i]
-        }
-    }
-
-    /// Segment `i`'s packed free counters on a column-stored profile: the
-    /// template with the column amounts stamped in.
-    fn col_free(&self, i: usize) -> FreeState {
-        self.machine.free_state_from(|r| self.cols[r][i])
+        let pooled = self.pooled_cols();
+        let suffix = |k: usize| self.cols.get(pooled + k).map_or(0.0, |c| c[i]);
+        self.machine.free_state_from(|j| self.cols[j][i], |k| (suffix(k) - suffix(k + 1)) as u32)
     }
 
     /// Index of the segment containing time `t` (clamped to the origin).
@@ -1340,76 +1290,29 @@ impl AvailabilityProfile {
         self.machine.with_free(&self.free_at(self.seg_index(t)))
     }
 
-    /// Whether the skyline entry at `i` is valid and fits `d` — meaning
-    /// every segment from `i` onward fits `d`, so a scan can stop.
-    #[inline]
-    fn tail_fits(&self, i: usize, d: &JobDemand) -> bool {
-        i >= self.skyline_clean_from
-            && i < self.skyline.len()
-            && self.machine.free_fits(&self.skyline[i], d)
-    }
-
-    /// Whether `d` fits everywhere on `[start, start + duration)`: the
-    /// column scan on column-stored profiles (debug builds cross-check it
-    /// against [`AvailabilityProfile::fits_interval_linear`]), the linear
-    /// skyline walk on packed-state ones.
+    /// Whether `d` fits everywhere on `[start, start + duration)`, by the
+    /// column scan (debug builds cross-check it against
+    /// [`AvailabilityProfile::fits_interval_linear`]).
     pub fn fits_interval(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
-        if self.columnar() {
-            let fits = self.fits_interval_scan(d, start, duration);
-            debug_assert_eq!(fits, self.fits_interval_linear(d, start, duration));
-            return fits;
-        }
-        self.fits_interval_linear(d, start, duration)
-    }
-
-    /// The linear-walk `fits_interval` (suffix-minima skyline
-    /// acceleration on packed-state profiles): the evaluator of
-    /// packed-state profiles and the oracle the column-scanned
-    /// [`AvailabilityProfile::fits_interval`] is checked against, kept
-    /// public so equivalence tests can compare the paths explicitly. On
-    /// column-stored profiles it tests each segment's materialized packed
-    /// state with [`PoolState::free_fits`].
-    pub fn fits_interval_linear(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
-        if self.columnar() {
-            return self.fits_interval_walk::<false>(d, start, duration, |i| {
-                self.machine.free_fits(&self.col_free(i), d)
-            });
-        }
-        let seg_fits = |i: usize| self.machine.free_fits(&self.frees[i], d);
-        let fits = self.fits_interval_walk::<true>(d, start, duration, seg_fits);
-        debug_assert_eq!(
-            fits,
-            self.fits_interval_walk::<false>(d, start, duration, seg_fits),
-            "skyline early accept diverged from the plain walk"
-        );
+        let fits = self.fits_interval_scan(d, start, duration);
+        debug_assert_eq!(fits, self.fits_interval_linear(d, start, duration));
         fits
     }
 
-    /// [`AvailabilityProfile::fits_interval_linear`]'s walk over the
-    /// segment-fit predicate `seg_fits` (picked once per query); `SKYLINE`
-    /// enables the skyline's early accept ([`AvailabilityProfile::tail_fits`]).
-    fn fits_interval_walk<const SKYLINE: bool>(
-        &self,
-        d: &JobDemand,
-        start: f64,
-        duration: f64,
-        seg_fits: impl Fn(usize) -> bool,
-    ) -> bool {
+    /// The linear-walk `fits_interval`: the oracle the column-scanned
+    /// [`AvailabilityProfile::fits_interval`] is checked against, kept
+    /// public so equivalence tests can compare the paths explicitly. It
+    /// tests each segment's materialized state with
+    /// [`PoolState::free_fits`].
+    pub fn fits_interval_linear(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
+        let seg_fits = |i: usize| self.machine.free_fits(&self.free_at(i), d);
         let end = start + duration;
-        let i0 = self.seg_index(start);
-        if SKYLINE && self.tail_fits(i0, d) {
-            // Every segment from `start`'s onward fits.
-            return true;
-        }
-        if !seg_fits(i0) {
+        if !seg_fits(self.seg_index(start)) {
             return false;
         }
         // First boundary strictly greater than `start`.
         let mut i = self.times.partition_point(|t| *t <= start);
         while i < self.times.len() && self.times[i] < end {
-            if SKYLINE && self.tail_fits(i, d) {
-                return true;
-            }
             if !seg_fits(i) {
                 return false;
             }
@@ -1423,14 +1326,9 @@ impl AvailabilityProfile {
     /// only ever *increase* at breakpoints built from releases, but
     /// reservations can carve arbitrary shapes, so every breakpoint is a
     /// candidate). Returns `f64::INFINITY` if it never fits. The column
-    /// scan answers on column-stored profiles, the linear skyline walk
-    /// ([`AvailabilityProfile::earliest_start_linear`]) on packed-state
-    /// ones.
+    /// scan answers, with the linear walk as its debug-build oracle.
     pub fn earliest_start(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        if self.columnar() {
-            return self.earliest_slot(d, from, self.next_boundary(from), duration).0;
-        }
-        self.earliest_start_linear(d, from, duration)
+        self.earliest_slot(d, from, self.next_boundary(from), duration).0
     }
 
     /// Rank of the first boundary strictly after `from` — where a walk
@@ -1454,9 +1352,8 @@ impl AvailabilityProfile {
     /// duration` — exactly the ranks [`AvailabilityProfile::carve`]
     /// takes. A slot that never fits is `(+inf, S, S)`. `next` must be
     /// the rank of the first boundary after `from`; the planner passes
-    /// the rank its memo carried, so a column-stored query does no binary
-    /// search over `times` at all. Packed-state profiles answer through
-    /// the walk and find the ranks by search.
+    /// the rank its memo carried, so a query does no binary search over
+    /// `times` at all.
     pub(crate) fn earliest_slot(
         &self,
         d: &JobDemand,
@@ -1465,15 +1362,6 @@ impl AvailabilityProfile {
         duration: f64,
     ) -> (f64, usize, usize) {
         debug_assert_eq!(next, self.next_boundary(from), "carried rank of `from` is stale");
-        let n = self.times.len();
-        if !self.columnar() {
-            let t = self.earliest_start_linear(d, from, duration);
-            if !t.is_finite() {
-                return (t, n, n);
-            }
-            let lo = self.seg_index(t);
-            return (t, lo, lo + self.times[lo..].partition_point(|x| *x < t + duration));
-        }
         let slot = self.scan_slot(d, from, next, duration);
         debug_assert_eq!(slot.0.to_bits(), self.earliest_start_linear(d, from, duration).to_bits());
         debug_assert_eq!(
@@ -1481,59 +1369,28 @@ impl AvailabilityProfile {
             if slot.0.is_finite() {
                 (self.seg_index(slot.0), self.boundary_rank(slot.0 + duration))
             } else {
-                (n, n)
+                (self.times.len(), self.times.len())
             },
             "slot ranks diverged from binary search"
         );
         slot
     }
 
-    /// The linear-walk `earliest_start` (suffix-minima skyline
-    /// acceleration on packed-state profiles): the evaluator of
-    /// packed-state profiles and the oracle the column-scanned
+    /// The linear-walk `earliest_start`: the oracle the column-scanned
     /// [`AvailabilityProfile::earliest_start`] is checked against, kept
-    /// public so equivalence tests can compare the paths explicitly. On
-    /// column-stored profiles it tests each segment's materialized packed
-    /// state with [`PoolState::free_fits`].
+    /// public so equivalence tests can compare the paths explicitly. It
+    /// tests each segment's materialized state with
+    /// [`PoolState::free_fits`].
     ///
     /// Implemented as a single forward walk: when a segment inside the
     /// candidate's interval does not fit, every candidate up to that
     /// segment's boundary is doomed (its interval would contain the
     /// blocking segment), so the walk jumps straight to the next fitting
     /// breakpoint. Each segment is visited at most once — O(S) worst case
-    /// instead of the O(S²) try-every-breakpoint scan — and the skyline
-    /// accepts in O(1) once the remaining tail fits.
+    /// instead of the O(S²) try-every-breakpoint scan.
     pub fn earliest_start_linear(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        if self.columnar() {
-            return self.earliest_start_walk::<false>(d, from, duration, |i| {
-                self.machine.free_fits(&self.col_free(i), d)
-            });
-        }
-        let seg_fits = |i: usize| self.machine.free_fits(&self.frees[i], d);
-        let t = self.earliest_start_walk::<true>(d, from, duration, seg_fits);
-        debug_assert_eq!(
-            t.to_bits(),
-            self.earliest_start_walk::<false>(d, from, duration, seg_fits).to_bits(),
-            "skyline early accept diverged from the plain walk"
-        );
-        t
-    }
-
-    /// [`AvailabilityProfile::earliest_start_linear`]'s walk over the
-    /// segment-fit predicate `seg_fits` (picked once per query); `SKYLINE`
-    /// enables the skyline's early accept ([`AvailabilityProfile::tail_fits`]).
-    fn earliest_start_walk<const SKYLINE: bool>(
-        &self,
-        d: &JobDemand,
-        from: f64,
-        duration: f64,
-        seg_fits: impl Fn(usize) -> bool,
-    ) -> f64 {
+        let seg_fits = |i: usize| self.machine.free_fits(&self.free_at(i), d);
         let n = self.times.len();
-        if SKYLINE && self.tail_fits(self.seg_index(from), d) {
-            // Every segment from `from`'s onward fits: accept in O(1).
-            return from;
-        }
         let mut cand = from;
         // First boundary strictly after the candidate.
         let mut i = self.times.partition_point(|t| *t <= from);
@@ -1554,9 +1411,6 @@ impl AvailabilityProfile {
         'candidate: loop {
             let end = cand + duration;
             while i < n && self.times[i] < end {
-                if SKYLINE && self.tail_fits(i, d) {
-                    return cand;
-                }
                 if !seg_fits(i) {
                     // Segment i blocks every candidate in (cand, times[i]]
                     // (their intervals all contain it, and times[i]'s own
@@ -1579,23 +1433,29 @@ impl AvailabilityProfile {
         }
     }
 
-    /// Per-resource fit thresholds of `d` for the column scan: segment
-    /// `i` fits iff `cols[0][i] >= need[0]` (nodes, exact) and
-    /// `cols[r][i] + 1e-9 >= need[r]` for every further resource — the
-    /// same comparisons, in the same floating-point arithmetic, as
-    /// [`PoolState::free_fits`] on an unflavoured machine.
+    /// Per-column fit thresholds of `d` for the column scan: segment `i`
+    /// fits iff `cols[0][i] >= need[0]` (nodes, exact) and `cols[j][i] +
+    /// FIT_EPS >= need[j]` for every further column — the comparisons of
+    /// [`PoolState::free_fits`], in the same floating-point arithmetic.
+    /// A per-node demand of flavour class `c` needs `d.nodes` in suffix
+    /// column `c`; the other suffix columns need nothing.
     #[inline]
-    fn scan_need(&self, d: &JobDemand) -> [f64; MAX_RESOURCES] {
-        let mut need = [f64::NEG_INFINITY; MAX_RESOURCES];
-        for (r, n) in need.iter_mut().enumerate().take(self.cols.len()) {
+    fn scan_need(&self, d: &JobDemand) -> [f64; MAX_COLS] {
+        let mut need = [f64::NEG_INFINITY; MAX_COLS];
+        for (n, r) in need.iter_mut().zip(pooled_resources(&self.machine)) {
             *n = self.machine.demand_of(d, r);
+        }
+        if let (Some(pr), Some(flavors)) = (self.machine.per_node_index(), self.machine.flavors()) {
+            let class = flavors.class_of(self.machine.demand_of(d, pr));
+            debug_assert!(class < flavors.len());
+            need[self.pooled_cols() + class] = f64::from(d.nodes);
         }
         need
     }
 
     /// Whether segment `j` fails the demand whose thresholds are `need`.
     #[inline]
-    fn scan_fails_at(&self, need: &[f64; MAX_RESOURCES], j: usize) -> bool {
+    fn scan_fails_at(&self, need: &[f64; MAX_COLS], j: usize) -> bool {
         if self.cols[0][j] < need[0] {
             return true;
         }
@@ -1607,11 +1467,34 @@ impl AvailabilityProfile {
         false
     }
 
+    /// Fail bitmask of the 8 segments from `i` (bit `k` set when segment
+    /// `i + k` fails `need`), for widths other than two: built one column
+    /// at a time, each a branchless 8-wide compare. Columns with a `-inf`
+    /// threshold cannot fail (the suffix columns outside the demand's
+    /// flavour class) and are skipped.
+    #[inline]
+    fn scan_mask8(&self, need: &[f64; MAX_COLS], i: usize) -> u32 {
+        let mut m = 0u32;
+        for (k, &v) in self.cols[0][i..i + 8].iter().enumerate() {
+            m |= u32::from(v < need[0]) << k;
+        }
+        for (col, &n) in self.cols.iter().zip(need).skip(1) {
+            if n == f64::NEG_INFINITY {
+                continue;
+            }
+            for (k, &v) in col[i..i + 8].iter().enumerate() {
+                m |= u32::from(v + FIT_EPS < n) << k;
+            }
+        }
+        m
+    }
+
     /// First segment in `[i, lim)` that fails `need`, or `lim`. The
     /// two-resource layout (the paper's CPU + burst-buffer machine) runs
     /// as a chunked branchless compare over the columns so the compiler
-    /// can vectorize it; other widths take the scalar loop.
-    fn scan_next_fail(&self, need: &[f64; MAX_RESOURCES], mut i: usize, lim: usize) -> usize {
+    /// can vectorize it; other widths go chunk by chunk through
+    /// `scan_mask8`.
+    fn scan_next_fail(&self, need: &[f64; MAX_COLS], mut i: usize, lim: usize) -> usize {
         if self.cols.len() == 2 && i < lim {
             let c0 = &self.cols[0][..lim];
             let c1 = &self.cols[1][..lim];
@@ -1637,6 +1520,13 @@ impl AvailabilityProfile {
             }
             return lim;
         }
+        while i + 8 <= lim {
+            let m = self.scan_mask8(need, i);
+            if m != 0 {
+                return i + m.trailing_zeros() as usize;
+            }
+            i += 8;
+        }
         while i < lim {
             if self.scan_fails_at(need, i) {
                 return i;
@@ -1647,7 +1537,7 @@ impl AvailabilityProfile {
     }
 
     /// First segment in `[i, lim)` that fits `need`, or `lim`.
-    fn scan_next_fit(&self, need: &[f64; MAX_RESOURCES], mut i: usize, lim: usize) -> usize {
+    fn scan_next_fit(&self, need: &[f64; MAX_COLS], mut i: usize, lim: usize) -> usize {
         if self.cols.len() == 2 && i < lim {
             let c0 = &self.cols[0][..lim];
             let c1 = &self.cols[1][..lim];
@@ -1673,6 +1563,13 @@ impl AvailabilityProfile {
             }
             return lim;
         }
+        while i + 8 <= lim {
+            let m = self.scan_mask8(need, i);
+            if m != 0xFF {
+                return i + (!m).trailing_zeros() as usize;
+            }
+            i += 8;
+        }
         while i < lim {
             if !self.scan_fails_at(need, i) {
                 return i;
@@ -1684,7 +1581,7 @@ impl AvailabilityProfile {
 
     /// Column-scan `fits_interval`: same walk as
     /// [`AvailabilityProfile::fits_interval_linear`], with the in-window
-    /// segment sweep vectorized over the resource columns.
+    /// segment sweep vectorized over the columns.
     fn fits_interval_scan(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
         let end = start + duration;
         let need = self.scan_need(d);
@@ -1702,11 +1599,11 @@ impl AvailabilityProfile {
     /// the same candidate-advancing walk as
     /// [`AvailabilityProfile::earliest_start_linear`] — each segment is
     /// still visited at most once — but the forward sweep evaluates the
-    /// fit predicate as a branchless 8-segment bitmask over the resource
-    /// columns, with the window boundary checked once per chunk instead
-    /// of once per segment. The two-column layout (the paper's CPU +
-    /// burst-buffer machine) gets its own instantiation of the walk, so
-    /// the compiler can vectorize its mask.
+    /// fit predicate as a branchless 8-segment bitmask over the columns,
+    /// with the window boundary checked once per chunk instead of once
+    /// per segment. The two-column layout (the paper's CPU + burst-buffer
+    /// machine) gets its own instantiation of the walk, so the compiler
+    /// can vectorize its mask.
     fn scan_slot(
         &self,
         d: &JobDemand,
@@ -1733,7 +1630,7 @@ impl AvailabilityProfile {
             from,
             next,
             duration,
-            |i| (0..8).fold(0, |m, k| m | u32::from(self.scan_fails_at(&need, i + k)) << k),
+            |i| self.scan_mask8(&need, i),
             |i| self.scan_fails_at(&need, i),
         )
     }
@@ -1745,7 +1642,7 @@ impl AvailabilityProfile {
     /// (`end_rank`), so the slot costs no binary search.
     fn scan_candidates(
         &self,
-        need: &[f64; MAX_RESOURCES],
+        need: &[f64; MAX_COLS],
         from: f64,
         mut i: usize,
         duration: f64,
@@ -1866,50 +1763,56 @@ impl AvailabilityProfile {
     /// and returns whether it did — ranks at or beyond `hi` then moved
     /// up by one. The interval fit is the caller's (its query found it),
     /// so no per-segment fit re-check applies.
+    ///
+    /// The arithmetic is [`PoolState::alloc`]'s, per column: the same
+    /// `free - demand` subtraction on each pooled column, and the greedy
+    /// smallest-sufficient-flavour-first assignment in suffix form — a
+    /// demand of `n` nodes in flavour class `c` takes all `n` from every
+    /// suffix `S_k` with `k ≤ c`, and from a suffix above `c` whatever
+    /// overflows the flavours below it, `max(0, n − (S_c − S_k))`. So the
+    /// materialized states are bit-identical to allocating on each
+    /// segment's state.
     pub(crate) fn carve(&mut self, d: &JobDemand, lo: usize, hi: usize, end: f64) -> bool {
         let split = lo < hi && end.is_finite() && self.times.get(hi) != Some(&end);
         if split {
             self.insert_boundary(hi, end);
         }
-        if self.columnar() {
-            // One tight subtraction per resource column: the same
-            // `free - demand` arithmetic `free_carve` applies to a packed
-            // state, so the amounts are bit-identical.
-            for (r, col) in self.cols.iter_mut().enumerate() {
-                let demand = self.machine.demand_of(d, r);
-                for v in &mut col[lo..hi] {
-                    *v -= demand;
-                }
-            }
-        } else {
-            let machine = self.machine;
-            for f in &mut self.frees[lo..hi] {
-                let _ = machine.free_carve(f, d);
+        let pooled = self.pooled_cols();
+        let (amounts, suffixes) = self.cols.split_at_mut(pooled);
+        for (col, r) in amounts.iter_mut().zip(pooled_resources(&self.machine)) {
+            let demand = self.machine.demand_of(d, r);
+            for v in &mut col[lo..hi] {
+                *v -= demand;
             }
         }
-        // Suffix minima at or before a mutated segment may now overstate
-        // availability; invalidate them (queries fall back to exact
-        // per-segment checks there). Repairing the skyline in place was
-        // measured instead and lost: carved minima propagate nearly the
-        // whole prefix down, and valid-but-congestion-tight suffix entries
-        // almost never accept mid-profile while costing a full state
-        // compare per visited boundary.
+        if let (Some(pr), Some(flavors)) = (self.machine.per_node_index(), self.machine.flavors()) {
+            let class = flavors.class_of(self.machine.demand_of(d, pr));
+            debug_assert!(class < flavors.len());
+            let n = f64::from(d.nodes);
+            let (upto, above) = suffixes.split_at_mut(class + 1);
+            let sc = &upto[class][lo..hi];
+            debug_assert!(sc.iter().all(|&s| s >= n), "carve of a non-fitting flavour demand");
+            for col in above {
+                for (s, &c) in col[lo..hi].iter_mut().zip(sc) {
+                    *s -= (n - (c - *s)).max(0.0);
+                }
+            }
+            for col in upto {
+                for s in &mut col[lo..hi] {
+                    *s -= n;
+                }
+            }
+        }
         self.skyline_clean_from = self.skyline_clean_from.max(hi);
         split
     }
 
     /// Extracts the profile's owned state: boundaries, per-segment states
-    /// (materialized from the template and the stored free counters —
-    /// byte-identical whichever layout stores them, since every segment
-    /// shares the fold pool's topology and capacities), and the skyline
-    /// watermark. The storage layout and skyline are **not state** —
-    /// neither appears on the wire, and restore rebuilds them from the
-    /// flat segments: the layout from the machine shape, and the skyline
-    /// with entries at or beyond the watermark identical to the
-    /// maintained ones (they are suffix minima over unmutated segments)
-    /// while entries below it are never read. Queries therefore answer
-    /// exactly as the original would have, and the snapshot schema is
-    /// unchanged by the indexing strategy.
+    /// (materialized from the template and the columns — every segment
+    /// shares the fold pool's topology and capacities), and the
+    /// watermark. The columns are **not state**: restore rebuilds them
+    /// from the flat segments, so the snapshot schema does not depend on
+    /// the storage.
     pub fn snapshot(&self) -> ProfileState {
         ProfileState {
             times: self.times.clone(),
@@ -1921,11 +1824,12 @@ impl AvailabilityProfile {
     /// Rebuilds a profile from extracted state, validating shape: equal
     /// `times`/`states` lengths, strictly increasing finite boundaries,
     /// a watermark within range, one machine shared by every segment,
-    /// and — on pooled machines, whose columns hold only the modelled
-    /// pooled amounts — segments that agree with the first everywhere
-    /// else (flavour pools, unmodelled slots). Anything else is a typed
-    /// [`SchedError::CorruptSnapshot`], so restore followed by
-    /// [`AvailabilityProfile::snapshot`] is a fixed point.
+    /// and segments that agree with the first everywhere the columns do
+    /// not reach (the per-node resource's own slot, unmodelled slots,
+    /// and flavour pools on machines without a per-node resource).
+    /// Anything else is a typed [`SchedError::CorruptSnapshot`], so
+    /// restore followed by [`AvailabilityProfile::snapshot`] is a fixed
+    /// point.
     pub fn restore(state: ProfileState) -> Result<Self, SchedError> {
         if state.times.is_empty() && state.states.is_empty() && state.skyline_clean_from == 0 {
             // A never-folded profile (fresh strategy, no pass yet).
@@ -1947,38 +1851,35 @@ impl AvailabilityProfile {
         }
         if state.skyline_clean_from > state.times.len() {
             return Err(SchedError::CorruptSnapshot(format!(
-                "profile skyline watermark {} exceeds {} segments",
+                "profile watermark {} exceeds {} segments",
                 state.skyline_clean_from,
                 state.times.len()
             )));
         }
         // Every segment of a folded profile derives from one pool, so all
         // must agree on topology and capacities — that shared machine
-        // becomes the template the stored free counters are read against.
+        // becomes the template the columns are read against.
         let machine = state.states[0];
         if state.states.iter().any(|s| !s.same_machine(&machine)) {
             return Err(SchedError::CorruptSnapshot(
                 "profile segments must share one machine topology and capacity".into(),
             ));
         }
-        let mut profile = Self { machine, ..Self::default() };
-        profile.select_storage();
-        if profile.columnar() {
-            // Compare with the modelled amounts masked out: what is left
-            // is exactly what the columns cannot hold.
-            let rest = |s: &PoolState| s.free_state_from(|_| 0.0);
-            let shared = rest(&machine);
-            if state.states.iter().any(|s| rest(s) != shared) {
-                return Err(SchedError::CorruptSnapshot(
-                    "pooled profile segments must differ only in modelled pooled resources".into(),
-                ));
-            }
+        // Compare with the column-held values masked out: what is left is
+        // exactly what the columns cannot hold.
+        let rest = |s: &PoolState| s.free_state_from(|_| 0.0, |_| 0);
+        let shared = rest(&machine);
+        if state.states.iter().any(|s| rest(s) != shared) {
+            return Err(SchedError::CorruptSnapshot(
+                "profile segments must differ only in column-held free counters".into(),
+            ));
         }
+        let mut profile = Self { machine, ..Self::default() };
+        profile.reset_columns();
         for s in &state.states {
             profile.push_segment(s);
         }
         profile.times = state.times;
-        profile.rebuild_skyline();
         profile.skyline_clean_from = state.skyline_clean_from;
         Ok(profile)
     }
@@ -2002,36 +1903,16 @@ impl AvailabilityProfile {
     }
 
     /// Inserts boundary `t` at rank `i` (`times[i - 1] < t < times[i]`),
-    /// duplicating segment `i - 1`, and keeps the watermark and the
-    /// skyline rank-aligned.
+    /// duplicating segment `i - 1`, and keeps the watermark rank-aligned.
     fn insert_boundary(&mut self, i: usize, t: f64) {
         debug_assert!(i > 0 && self.times[i - 1] < t && self.times.get(i).is_none_or(|&x| t < x));
         self.times.insert(i, t);
-        // Duplicate segment `i - 1` at rank `i`. The watermark shift
-        // below the invalidation point is wire state and applies to
-        // either layout.
-        let dirty = i < self.skyline_clean_from;
-        if dirty {
+        if i < self.skyline_clean_from {
             self.skyline_clean_from += 1;
         }
-        if self.columnar() {
-            for col in &mut self.cols {
-                col.insert(i, col[i - 1]);
-            }
-            return;
+        for col in &mut self.cols {
+            col.insert(i, col[i - 1]);
         }
-        let f = self.frees[i - 1];
-        self.frees.insert(i, f);
-        // Keep the skyline index-aligned. Entries before `i` are
-        // unchanged (the duplicate state was already folded into them
-        // via the original segment); the new entry folds the duplicate
-        // with the old suffix at `i`. Inside the invalidated prefix the
-        // value is never read.
-        let v = match self.skyline.get(i) {
-            Some(next) if !dirty => self.machine.free_component_min(&f, next),
-            _ => f,
-        };
-        self.skyline.insert(i, v);
     }
 }
 
@@ -2058,8 +1939,9 @@ pub struct ProfileState {
     pub times: Vec<f64>,
     /// Free state on `[times[i], times[i+1])`.
     pub states: Vec<PoolState>,
-    /// Skyline validity watermark: suffix-minima entries before this index
-    /// are invalidated by reservation carvings.
+    /// `CoreSnapshot` v1 wire state only: the watermark a since-deleted
+    /// suffix-minima index kept (see `AvailabilityProfile`). Restore
+    /// checks it is within range; nothing else reads it.
     pub skyline_clean_from: usize,
 }
 
@@ -2075,7 +1957,7 @@ pub struct ConservativeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bbsched_core::resource::{DemandSlot, ResourceModel, ResourceSpec};
+    use bbsched_core::resource::{DemandSlot, Flavor, ResourceModel, ResourceSpec};
 
     fn d(nodes: u32, bb: f64) -> JobDemand {
         JobDemand::cpu_bb(nodes, bb)
@@ -2368,6 +2250,47 @@ mod tests {
         };
         let restored = AvailabilityProfile::restore(fine.clone()).unwrap();
         assert_eq!(restored.snapshot(), fine);
+
+        // Flavoured segments that differ from the first outside the
+        // columns (the per-node resource's own slot, an unused flavour
+        // slot, an unmodelled slot) are refused the same way.
+        let flavoured = AvailabilityProfile::new(0.0, PoolState::with_ssd(2, 3, 10.0), vec![])
+            .snapshot()
+            .states[0];
+        let json = serde_json::to_string(&flavoured).unwrap();
+        let edit = |from: &str, to: &str| -> PoolState {
+            assert!(json.contains(from), "unexpected PoolState encoding: {json}");
+            serde_json::from_str(&json.replacen(from, to, 1)).unwrap()
+        };
+        let odd_per_node = edit("[5.0,10.0,1024.0,", "[5.0,10.0,512.0,");
+        let odd_flavor = edit("\"flavor_free\":[2,3,0,", "\"flavor_free\":[2,3,7,");
+        let odd_slot = edit("1024.0,0.0,", "1024.0,1.5,");
+        for odd in [odd_per_node, odd_flavor, odd_slot] {
+            assert!(odd.same_machine(&flavoured) && odd != flavoured);
+            let mixed = ProfileState {
+                times: vec![0.0, 10.0],
+                states: vec![flavoured, odd],
+                skyline_clean_from: 0,
+            };
+            assert!(matches!(
+                AvailabilityProfile::restore(mixed),
+                Err(SchedError::CorruptSnapshot(_))
+            ));
+        }
+        // Differing in the nodes and a flavour pool is an ordinary
+        // flavoured profile.
+        let busier = edit("[5.0,10.0,1024.0,", "[4.0,10.0,1024.0,");
+        let busier: PoolState = serde_json::from_str(
+            &serde_json::to_string(&busier).unwrap().replacen("[2,3,0,", "[1,3,0,", 1),
+        )
+        .unwrap();
+        let fine = ProfileState {
+            times: vec![0.0, 10.0],
+            states: vec![flavoured, busier],
+            skyline_clean_from: 2,
+        };
+        let restored = AvailabilityProfile::restore(fine.clone()).unwrap();
+        assert_eq!(restored.snapshot(), fine);
     }
 
     /// The latest answer among the noted *plain* entries that `d` over
@@ -2395,33 +2318,50 @@ mod tests {
         }
     }
 
-    /// The three machine shapes the profile property tests run on, with
-    /// a tag for [`shaped_demand`]: pooled R = 2 (column scan's
-    /// two-column walk), pooled R = 3 with GPUs (its generic walk), and
-    /// flavoured SSD nodes (packed states, skyline walk).
-    fn profile_systems() -> [(PoolState, u32); 3] {
+    /// The machine shapes the profile property tests run on, with a tag
+    /// for [`shaped_demand`]: pooled R = 2 (the column scan's two-column
+    /// walk), pooled R = 3 with GPUs (its generic walk), two-tier
+    /// flavoured SSD nodes, and three-tier ones (flavour suffix columns,
+    /// with greedy overflow across more than one tier).
+    fn profile_systems() -> [(PoolState, u32); 4] {
         let gpus = ResourceModel::new(vec![
             ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
             ResourceSpec::pooled("bb_gb", 2_000.0, DemandSlot::BbGb),
             ResourceSpec::pooled("gpus", 64.0, DemandSlot::Extra(0)),
         ])
         .expect("3-resource pooled test model is valid");
+        let tiers = ResourceModel::new(vec![
+            ResourceSpec::pooled("nodes", 384.0, DemandSlot::Nodes),
+            ResourceSpec::pooled("bb_gb", 2_000.0, DemandSlot::BbGb),
+            ResourceSpec::per_node(
+                "ssd",
+                FlavorSet::new(&[
+                    Flavor { capacity: 64.0, count: 128 },
+                    Flavor { capacity: 128.0, count: 128 },
+                    Flavor { capacity: 256.0, count: 128 },
+                ]),
+                DemandSlot::SsdPerNode,
+            ),
+        ])
+        .expect("three-tier flavoured test model is valid");
         [
             (PoolState::cpu_bb(512, 2_000.0), 0),
             (PoolState::from_model(&gpus), 1),
             (PoolState::with_ssd(128, 128, 2_000.0), 2),
+            (PoolState::from_model(&tiers), 3),
         ]
     }
 
     /// Maps raw words onto a demand for machine shape `kind`: GPUs or SSD
-    /// on a quarter (half, for SSD) of the demands where the shape has
-    /// them.
+    /// on a quarter (half, for two-tier SSD; three quarters, one per
+    /// tier, for three-tier SSD) of the demands where the shape has them.
     fn shaped_demand(kind: u32, a: u16, b: u8, c: u8) -> JobDemand {
         let d = JobDemand::cpu_bb(1 + u32::from(a) % 300, f64::from(b % 4) * 150.0);
         match (kind, c % 4) {
             (1, 0) => d.with_extra(0, f64::from(c % 40)),
-            (2, 0) => JobDemand { ssd_gb_per_node: 64.0, ..d },
-            (2, 1) => JobDemand { ssd_gb_per_node: 240.0, ..d },
+            (2, 0) | (3, 1) => JobDemand { ssd_gb_per_node: 64.0, ..d },
+            (2, 1) | (3, 2) => JobDemand { ssd_gb_per_node: 240.0, ..d },
+            (3, 0) => JobDemand { ssd_gb_per_node: 32.0, ..d },
             _ => d,
         }
     }
@@ -2494,7 +2434,8 @@ mod tests {
 
         /// Starting a query at its memo bound gives the bit-identical
         /// answer of a walk from `now`, on pooled (R = 2, R = 3) and
-        /// flavoured profiles under the pass's own carve sequence.
+        /// flavoured (two- and three-tier) profiles under the pass's own
+        /// carve sequence.
         #[test]
         fn memo_bound_start_equals_full_walk(
             running in proptest::collection::vec((0u16..u16::MAX, 0u16..u16::MAX), 0..60),
@@ -2532,7 +2473,7 @@ mod tests {
         /// carried rank, carve at the slot's ranks, memo ranks shifted
         /// past split-in boundaries — answers bit for bit like the linear
         /// walk and leaves the profile exactly where `earliest_start` +
-        /// `reserve` leave a clone (boundaries, states, skyline
+        /// `reserve` leave a clone (boundaries, states,
         /// watermark), with every carried memo rank current after every
         /// carve. Queries start at `now`, at the memo's bound, or at any
         /// noted answer; a non-boundary `from` takes `reserve_earliest`,
@@ -2606,9 +2547,9 @@ mod tests {
     }
 
     #[test]
-    fn skyline_survives_reservation_splits() {
-        // A reservation splits segments and invalidates part of the
-        // skyline; queries must stay exact either way.
+    fn queries_survive_reservation_splits() {
+        // A reservation splits segments and raises the watermark; queries
+        // must stay exact either way.
         let mut p = AvailabilityProfile::new(
             0.0,
             PoolState::cpu_bb(4, 100.0),

@@ -120,13 +120,6 @@ pub enum BackfillAlgorithm {
     /// backfill opportunities. Uses the persistent, incrementally
     /// maintained profile (DESIGN.md §10).
     Conservative,
-    /// The frozen pre-incremental conservative path: rebuilds the
-    /// availability profile from the full release schedule on every pass
-    /// ([`crate::legacy_profile::RebuildPerPassConservative`]). Produces
-    /// bit-identical schedules to [`BackfillAlgorithm::Conservative`];
-    /// kept only as the equivalence oracle and benchmark reference — do
-    /// not use it for new work.
-    ConservativeRebuild,
 }
 
 impl BackfillAlgorithm {
@@ -136,9 +129,6 @@ impl BackfillAlgorithm {
             BackfillAlgorithm::Easy => Box::new(crate::backfill::EasyBackfill),
             BackfillAlgorithm::Conservative => {
                 Box::new(crate::backfill::ConservativeBackfill::default())
-            }
-            BackfillAlgorithm::ConservativeRebuild => {
-                Box::new(crate::legacy_profile::RebuildPerPassConservative)
             }
         }
     }

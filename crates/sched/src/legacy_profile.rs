@@ -1,19 +1,17 @@
-//! Frozen pre-incremental conservative-backfill machinery.
+//! Frozen pre-incremental availability profile.
 //!
 //! This module preserves, verbatim, the rebuild-per-pass availability
-//! profile and conservative strategy that shipped before the persistent
-//! profile landed (DESIGN.md §10): [`LegacyProfile`] rebuilds from the
-//! full release schedule on every construction and scans every segment
-//! from index 0 in its queries, and [`RebuildPerPassConservative`]
-//! constructs a fresh profile each backfill pass.
+//! profile that shipped before the persistent profile landed (DESIGN.md
+//! §10): [`LegacyProfile`] rebuilds from the full release schedule on
+//! every construction and scans every segment from index 0 in its
+//! queries.
 //!
 //! It exists as the **equivalence oracle** and must not be "improved":
-//! the golden-equivalence suite and the profile property tests prove the
-//! incremental [`crate::ConservativeBackfill`] produces bit-identical
-//! schedules and profiles to this reference
-//! ([`crate::BackfillAlgorithm::ConservativeRebuild`] selects it).
+//! the profile property tests and the golden-equivalence suite's frozen
+//! reference run prove the incremental [`crate::ConservativeBackfill`]
+//! and its [`crate::AvailabilityProfile`] produce bit-identical profiles
+//! and schedules to it.
 
-use crate::backfill::{BackfillCtx, BackfillStrategy, TIME_EPS};
 use bbsched_core::pools::{NodeAssignment, PoolState};
 use bbsched_core::problem::JobDemand;
 
@@ -149,48 +147,6 @@ impl LegacyProfile {
                 let state = self.states[i - 1];
                 self.times.insert(i, t);
                 self.states.insert(i, state);
-            }
-        }
-    }
-}
-
-/// The pre-incremental conservative backfill: builds a fresh
-/// [`LegacyProfile`] from the full release schedule on every pass.
-/// Schedules are bit-identical to [`crate::ConservativeBackfill`]; only
-/// the per-pass cost differs.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RebuildPerPassConservative;
-
-impl BackfillStrategy for RebuildPerPassConservative {
-    fn name(&self) -> &'static str {
-        "conservative-rebuild"
-    }
-
-    fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>) {
-        let mut profile = LegacyProfile::new(ctx.now(), *ctx.pool(), ctx.release_schedule());
-        // Reservations for everyone; the starved blocked job (if any)
-        // reserves first.
-        let mut ordered: Vec<usize> = Vec::with_capacity(ctx.waiting().len() + 1);
-        if let Some(b) = ctx.blocked_head() {
-            ordered.push(b);
-        }
-        ordered.extend(ctx.waiting().iter().copied().filter(|&i| Some(i) != ctx.blocked_head()));
-        for (scanned, idx) in ordered.into_iter().enumerate() {
-            if scanned >= ctx.max_scan() {
-                break;
-            }
-            if ctx.is_started(idx) {
-                continue;
-            }
-            let d = ctx.demand(idx);
-            let walltime = ctx.walltime(idx).max(1.0);
-            let t = profile.earliest_start(&d, ctx.now(), walltime);
-            if t <= ctx.now() + TIME_EPS && ctx.pool().fits(&d) {
-                ctx.start(idx, true);
-                // Consume from the profile's "now" segments too.
-                profile.reserve(&d, t, walltime);
-            } else if t.is_finite() {
-                profile.reserve(&d, t, walltime);
             }
         }
     }

@@ -37,8 +37,8 @@
 //! * [`backfill`] — EASY and conservative backfilling behind the
 //!   [`BackfillStrategy`] trait, plus the availability-profile machinery
 //!   (DESIGN.md §10);
-//! * [`legacy_profile`] — the frozen rebuild-per-pass conservative path,
-//!   kept as the equivalence oracle;
+//! * [`legacy_profile`] — the frozen rebuild-per-pass availability
+//!   profile, kept as the equivalence oracle;
 //! * [`observer`] — the [`SchedObserver`] callbacks everything observable
 //!   flows through; [`Recorder`] collects the classic [`SimResult`],
 //!   [`DecisionLog`] the canonical decision stream;
@@ -85,7 +85,7 @@ pub use durability::{
 };
 pub use error::SchedError;
 pub use jobset::JobSet;
-pub use legacy_profile::{LegacyProfile, RebuildPerPassConservative};
+pub use legacy_profile::LegacyProfile;
 pub use observer::{DecisionLog, JobStart, Recorder, SchedObserver};
 pub use queue::{QueueManager, QueueState};
 pub use record::{JobRecord, SimResult, StartReason};

@@ -6,7 +6,7 @@
 //! allocation ledger ([`crate::alloc::LedgerState`], including the
 //! delta-log generation and the release order), the backfill strategy
 //! (conservative: [`crate::backfill::ConservativeState`] = release
-//! mirror plus persistent availability profile and skyline watermark),
+//! mirror plus persistent availability profile and its watermark),
 //! the starvation tracker, and any policy with cross-invocation state
 //! ([`bbsched_policies::SelectionPolicy::snapshot_state`]).
 //!
@@ -29,14 +29,20 @@
 //! typed [`SchedError::CorruptSnapshot`], never a panic.
 //!
 //! The schema is deliberately insulated from performance work: the
-//! availability profile's storage layout and skyline index and the
-//! conservative strategy's replay memo are acceleration state, rebuilt
-//! from the flat representation on restore and never serialized. [`crate::backfill::ConservativeState`] today
-//! captures exactly what it captured when v1 was introduced — the raw
-//! release mirror, the flat profile, and the skyline watermark — which
-//! is why the indexed profile needed no schema bump and the v1 golden
-//! snapshot is byte-unchanged. Resume requires `schema_version: 1`; no
-//! migration path exists by policy (DESIGN.md §12).
+//! availability profile's column storage and the conservative strategy's
+//! replay memo are acceleration state, rebuilt from the flat
+//! representation on restore and never serialized.
+//! [`crate::backfill::ConservativeState`] today captures exactly what it
+//! captured when v1 was introduced — the raw release mirror, the flat
+//! profile, and the `skyline_clean_from` watermark — which is why no
+//! profile rework needed a schema bump and the v1 golden snapshot is
+//! byte-unchanged. The watermark is wire state only: the suffix-minima
+//! skyline index it once guarded is gone, and the profile keeps it
+//! evolving exactly as that index did (reset by a fold, raised to each
+//! reservation's end rank, shifted by split-in boundaries and origin
+//! advances) so snapshots stay byte-identical. Resume requires
+//! `schema_version: 1`; no migration path exists by policy (DESIGN.md
+//! §12).
 //!
 //! ## What a snapshot does NOT capture
 //!
@@ -75,7 +81,7 @@ pub struct CoreSnapshot {
     /// order, delta log and generation counters.
     pub ledger: crate::alloc::LedgerState,
     /// Backfill-strategy state, if the strategy carries any across
-    /// invocations (conservative: mirror + profile + skyline watermark;
+    /// invocations (conservative: mirror + profile + watermark;
     /// EASY: `None` — it replans from the ledger every pass).
     pub backfill: Option<Value>,
     /// Starvation-tracker entries as sorted `(job id, bypass count)`

@@ -1,36 +1,37 @@
-//! Property test: both query evaluators inside [`AvailabilityProfile`]
-//! are bit-identical to the frozen scan-everything [`LegacyProfile`].
+//! Property test: the column scan inside [`AvailabilityProfile`] is
+//! bit-identical to the frozen scan-everything [`LegacyProfile`].
 //!
-//! The profile answers queries with one of two evaluators, picked by its
-//! storage layout — the column scan (pooled-resource machines) or the
-//! linear skyline walk (flavoured machines, and the scan's oracle) — and
-//! the scan must be pure acceleration: indistinguishable from the linear
-//! walk, which in turn must match [`LegacyProfile`]. This harness seeds
-//! large machines with enough staggered releases to grow deep profiles
-//! (192-plus segments), then drives random start / finish / reserve
-//! interleavings over pooled R ∈ {2, 3} and flavoured R ∈ {3, 4} systems
-//! (heterogeneous SSD flavours), asserting at every pass:
+//! Every profile stores its segments as columns — one per pooled
+//! resource, plus one flavour suffix count per flavour on machines with
+//! per-node SSDs — and answers queries with the column scan, which must
+//! be pure acceleration: indistinguishable from the linear walk over
+//! materialized states (the `*_linear` oracles), which in turn must match
+//! [`LegacyProfile`]. This harness seeds large machines with enough
+//! staggered releases to grow deep profiles (192-plus segments), then
+//! drives random start / finish / reserve interleavings over pooled
+//! R ∈ {2, 3} and flavoured R ∈ {3, 4} systems (two- and three-tier
+//! heterogeneous SSD flavours), asserting at every pass:
 //!
-//! 1. `earliest_start` / `fits_interval` / `state_at` from the
-//!    dispatched path `==` the `*_linear` oracles `==` `LegacyProfile`,
-//!    both on a freshly folded profile and after reservations have
-//!    split segments and invalidated the skyline watermark;
+//! 1. `earliest_start` / `fits_interval` / `state_at` from the scan
+//!    `==` the `*_linear` oracles `==` `LegacyProfile`, both on a
+//!    freshly folded profile and after reservations have split segments
+//!    and raised the watermark;
 //! 2. post-`reserve` boundaries and states are bit-identical between
-//!    the indexed profile and `LegacyProfile`, after dozens of carves
-//!    per pass;
+//!    the column-stored profile and `LegacyProfile`, after dozens of
+//!    carves per pass — on flavoured systems that checks the suffix
+//!    carve against greedy smallest-sufficient-flavour allocation;
 //! 3. `advance_origin` (the replay fast path's origin drop) agrees with
 //!    a from-scratch clamp-fold at the advanced instant;
 //! 4. `restore(snapshot())` equals the profile and re-snapshots to
-//!    byte-identical JSON, whichever layout (columns or packed states)
-//!    stores its segments.
+//!    byte-identical JSON.
 //!
-//! Debug builds double the coverage for free: the dispatched queries
-//! internally cross-check the scan answers against the linear walk via
+//! Debug builds double the coverage for free: the queries internally
+//! cross-check the scan answers against the linear walk via
 //! `debug_assert!` oracles on every call made here.
 
 use bbsched_core::pools::PoolState;
 use bbsched_core::problem::{JobDemand, SSD_LARGE_GB, SSD_SMALL_GB};
-use bbsched_core::resource::{DemandSlot, FlavorSet, ResourceModel, ResourceSpec};
+use bbsched_core::resource::{DemandSlot, Flavor, FlavorSet, ResourceModel, ResourceSpec};
 use bbsched_sched::{AllocLedger, AvailabilityProfile, LegacyProfile, ReleaseMirror};
 use proptest::prelude::*;
 
@@ -87,8 +88,8 @@ fn systems() -> Vec<SystemUnderTest> {
         seed_ssd: |_| 0.0,
     };
     // R = 3, heterogeneous two-tier local SSDs: 256 flavoured nodes, so
-    // the skyline walk works deep packed-state profiles once the seed
-    // jobs are running.
+    // the scan works deep flavoured profiles once the seed jobs are
+    // running.
     let ssd = SystemUnderTest {
         pool: PoolState::with_ssd(128, 128, 30_000.0),
         demand: |a, b, c| {
@@ -130,10 +131,47 @@ fn systems() -> Vec<SystemUnderTest> {
         seed_jobs: 225,
         seed_ssd: |i| if i % 3 == 0 { 64.0 } else { 0.0 },
     };
-    vec![pooled, pooled3, ssd, four]
+    // R = 3, three-tier local SSDs (64/128/256 GB): a demand's greedy
+    // overflow can cross more than one tier, the only arithmetic the
+    // suffix carve adds over two tiers.
+    let model = ResourceModel::new(vec![
+        ResourceSpec::pooled("nodes", 270.0, DemandSlot::Nodes),
+        ResourceSpec::pooled("bb_gb", 30_000.0, DemandSlot::BbGb),
+        ResourceSpec::per_node(
+            "ssd",
+            FlavorSet::new(&[
+                Flavor { capacity: 64.0, count: 90 },
+                Flavor { capacity: SSD_SMALL_GB, count: 90 },
+                Flavor { capacity: SSD_LARGE_GB, count: 90 },
+            ]),
+            DemandSlot::SsdPerNode,
+        ),
+    ])
+    .expect("three-tier test model is valid");
+    let tiers = SystemUnderTest {
+        pool: PoolState::from_model(&model),
+        demand: |a, b, c| {
+            let ssd = match c % 5 {
+                0 => 0.0,
+                1 => 32.0,
+                2 => 100.0,
+                3 => 200.0,
+                _ => 250.0,
+            };
+            JobDemand::cpu_bb_ssd(1 + u32::from(a) % 300, f64::from(b % 700) * 45.0, ssd)
+        },
+        seed_jobs: 225,
+        seed_ssd: |i| match i % 6 {
+            0 | 1 => 0.0,
+            2 | 3 => 32.0,
+            4 => 100.0,
+            _ => 200.0,
+        },
+    };
+    vec![pooled, pooled3, ssd, four, tiers]
 }
 
-/// Asserts the dispatched query, its linear oracle and `LegacyProfile`
+/// Asserts the scanned query, its linear oracle and `LegacyProfile`
 /// agree on one query shape.
 fn check_queries(
     profile: &AvailabilityProfile,
@@ -143,8 +181,8 @@ fn check_queries(
     dur: f64,
 ) -> Result<(), TestCaseError> {
     let t = profile.earliest_start(d, now, dur);
-    prop_assert_eq!(t, profile.earliest_start_linear(d, now, dur), "dispatch vs linear walk");
-    prop_assert_eq!(t, legacy.earliest_start(d, now, dur), "dispatch vs LegacyProfile");
+    prop_assert_eq!(t, profile.earliest_start_linear(d, now, dur), "scan vs linear walk");
+    prop_assert_eq!(t, legacy.earliest_start(d, now, dur), "scan vs LegacyProfile");
     for off in [0.0, 0.25, 4.0, 33.0] {
         let fits = profile.fits_interval(d, now + off, dur);
         prop_assert_eq!(fits, profile.fits_interval_linear(d, now + off, dur));
@@ -249,7 +287,7 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 // Reserve pass: carve reservations identically into the
                 // indexed profile and the legacy oracle (exactly how the
                 // conservative strategy uses them), then re-query with
-                // split segments and a partially invalidated skyline.
+                // split segments.
                 mirror.sync(&ledger);
                 mirror.fold_into(now, *ledger.pool(), &mut profile);
                 let mut legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
@@ -267,8 +305,8 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 prop_assert_eq!(profile.times(), legacy.times(), "post-reserve boundaries");
                 prop_assert_eq!(profile.states(), legacy.states(), "post-reserve states");
                 check_queries(&profile, &legacy, &(sut.demand)(c, a, b), now, 2.0)?;
-                // Split segments and a dirty skyline watermark survive a
-                // snapshot round trip, and the restored indexes answer
+                // Split segments and a raised watermark survive a
+                // snapshot round trip, and the restored columns answer
                 // like the maintained ones.
                 check_restore(&profile)?;
                 let restored = AvailabilityProfile::restore(profile.snapshot())
@@ -283,11 +321,10 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// Column-scan / linear-skyline dispatch is bit-identical to the
-    /// linear oracles and to `LegacyProfile`, and every profile is a
-    /// snapshot/restore fixed point, under random start/finish/reserve
-    /// interleavings on pooled and flavoured systems with 192-plus-segment
-    /// profiles.
+    /// The column scan is bit-identical to the linear oracles and to
+    /// `LegacyProfile`, and every profile is a snapshot/restore fixed
+    /// point, under random start/finish/reserve interleavings on pooled
+    /// and flavoured systems with 192-plus-segment profiles.
     #[test]
     fn profile_evaluators_match_legacy(
         ops in proptest::collection::vec(

@@ -68,8 +68,8 @@ pub use bbsched_sched::{
     clamp_demand, shadow_and_leftover, AllocLedger, AvailabilityProfile, BackfillAlgorithm,
     BackfillCtx, BackfillScope, BackfillStrategy, BaseScheduler, ConservativeBackfill, Decision,
     DecisionLog, DynamicWindow, EasyBackfill, JobRecord, JobSet, JobStart, LedgerDelta,
-    LegacyProfile, QueueManager, RebuildPerPassConservative, Recorder, ReleaseMirror, RunningJob,
-    SchedCore, SimResult, StartReason,
+    LegacyProfile, QueueManager, Recorder, ReleaseMirror, RunningJob, SchedCore, SimResult,
+    StartReason,
 };
 
 /// The core's observer trait under its historical simulator name.

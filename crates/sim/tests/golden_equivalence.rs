@@ -426,8 +426,14 @@ fn ga() -> GaParams {
     GaParams { generations: 15, ..GaParams::default() }
 }
 
-/// Asserts the new engine reproduces the reference exactly for one combo.
-fn assert_equivalent(system: &SystemConfig, trace: &Trace, cfg: SimConfig, kind: PolicyKind) {
+/// Asserts the new engine reproduces the reference exactly for one combo,
+/// and returns the engine's result.
+fn assert_equivalent(
+    system: &SystemConfig,
+    trace: &Trace,
+    cfg: SimConfig,
+    kind: PolicyKind,
+) -> SimResult {
     let sim = Simulator::new(system, trace, cfg.clone()).unwrap();
     let demands = sim.demands().to_vec();
     let clamped = sim.clamped_jobs();
@@ -442,6 +448,7 @@ fn assert_equivalent(system: &SystemConfig, trace: &Trace, cfg: SimConfig, kind:
         cfg.backfill_algorithm,
         cfg.backfill
     );
+    new
 }
 
 fn cori_trace() -> (SystemConfig, Trace) {
@@ -547,44 +554,16 @@ fn golden_sim_fingerprints_are_bit_stable() {
     }
 }
 
-/// The incremental conservative path (persistent mirror-fed profile,
-/// skyline-indexed queries) must produce bit-identical results to the
-/// frozen rebuild-per-pass strategy through the *real* engine — not just
-/// against the monolithic reference. This is the direct old-vs-new check
-/// for the persistent-profile tentpole.
-#[test]
-fn golden_incremental_conservative_equals_rebuild_per_pass() {
-    for (system, trace) in [cori_trace(), theta_trace()] {
-        for kind in [PolicyKind::BbSched, PolicyKind::BinPacking, PolicyKind::Baseline] {
-            for base in [BaseScheduler::Fcfs, BaseScheduler::Wfp] {
-                let run = |algo: BackfillAlgorithm| {
-                    let cfg = SimConfig { base, backfill_algorithm: algo, ..SimConfig::default() };
-                    Simulator::new(&system, &trace, cfg).unwrap().run(kind.build(ga()))
-                };
-                let incremental = run(BackfillAlgorithm::Conservative);
-                let rebuild = run(BackfillAlgorithm::ConservativeRebuild);
-                assert_eq!(
-                    incremental,
-                    rebuild,
-                    "incremental conservative diverged from rebuild-per-pass: policy {} base {:?}",
-                    kind.name(),
-                    base
-                );
-            }
-        }
-    }
-}
-
 /// WFP memo-replay vs always-refold, mid-scale. The incremental
 /// conservative strategy replays a pure-arrival pass's memoized
 /// reservations verbatim whenever the elementwise compare finds the
 /// memoized candidate prefix unchanged by the WFP re-sort; the frozen
-/// rebuild-per-pass strategy refolds and re-queries every pass and
-/// never memoizes — the literal "always refold" discipline. A
-/// fifth-scale Theta at 700 jobs keeps queue depths high enough that
-/// replayed passes, reorder-driven bails, and fresh-tail queries all
-/// occur under WFP, while the rebuild oracle stays affordable in debug
-/// test runs. The `SimResult`s must be byte-identical.
+/// `reference_run` rebuilds a [`LegacyProfile`] and re-queries every
+/// candidate every pass and never memoizes — the literal "always refold"
+/// discipline. A fifth-scale Theta at 700 jobs keeps queue depths high
+/// enough that replayed passes, reorder-driven bails, and fresh-tail
+/// queries all occur under WFP, while the reference stays affordable in
+/// debug test runs. The `SimResult`s must be byte-identical.
 #[test]
 fn golden_wfp_memo_replay_equals_always_refold_midscale() {
     let profile = MachineProfile::theta().scaled(0.2);
@@ -592,34 +571,25 @@ fn golden_wfp_memo_replay_equals_always_refold_midscale() {
         &profile,
         &GeneratorConfig { n_jobs: 700, seed: 77, load_factor: 1.05, ..Default::default() },
     );
-    let run = |algo: BackfillAlgorithm| {
-        let cfg = SimConfig {
-            base: BaseScheduler::Wfp,
-            backfill_algorithm: algo,
-            backfill: BackfillScope::Queue,
-            ..SimConfig::default()
-        };
-        Simulator::new(&profile.system, &trace, cfg)
-            .unwrap()
-            .run(PolicyKind::Baseline.build(GaParams::default()))
+    let cfg = SimConfig {
+        base: BaseScheduler::Wfp,
+        backfill_algorithm: BackfillAlgorithm::Conservative,
+        backfill: BackfillScope::Queue,
+        ..SimConfig::default()
     };
-    let replayed = run(BackfillAlgorithm::Conservative);
-    let refolded = run(BackfillAlgorithm::ConservativeRebuild);
-    assert_eq!(replayed.records.len(), 700);
-    assert_eq!(
-        replayed, refolded,
-        "WFP memo-replayed conservative SimResult diverged from always-refold"
-    );
+    let result = assert_equivalent(&profile.system, &trace, cfg, PolicyKind::Baseline);
+    assert_eq!(result.records.len(), 700);
 }
 
 /// Bench-scale old-vs-new: the exact `simulate_large/20k_conservative_fcfs`
 /// workload (same machine, generator seed, and queue-scoped config as
-/// `bench_sim`) through both conservative strategies, asserting the full
-/// 20k-record `SimResult`s are identical. At this depth the profiles carry
-/// hundreds of segments per pass, so the memoized replay path and the
-/// column-scan query index both engage on deep profiles — which the small
-/// golden traces above never reach. Ignored by default: the rebuild-per-pass
-/// oracle alone takes ~13 minutes in release (hours in debug). Run with
+/// `bench_sim`) through the engine and the frozen `reference_run`,
+/// asserting the full 20k-record `SimResult`s are identical. At this
+/// depth the profiles carry hundreds of segments per pass, so the
+/// memoized replay path and the column scan both engage on deep profiles
+/// — which the small golden traces above never reach. Ignored by
+/// default: the reference's rebuild-per-pass profile alone takes many
+/// minutes in release (hours in debug). Run with
 /// `cargo test --release -p bbsched-sim --test golden_equivalence -- --ignored`.
 #[test]
 #[ignore = "bench-scale (~15 min in release); run explicitly with -- --ignored"]
@@ -629,24 +599,14 @@ fn golden_20k_conservative_equals_rebuild_at_bench_scale() {
         &profile,
         &GeneratorConfig { n_jobs: 20_000, seed: 77, load_factor: 1.05, ..Default::default() },
     );
-    let run = |algo: BackfillAlgorithm| {
-        let cfg = SimConfig {
-            base: BaseScheduler::Fcfs,
-            backfill_algorithm: algo,
-            backfill: BackfillScope::Queue,
-            ..SimConfig::default()
-        };
-        Simulator::new(&profile.system, &trace, cfg)
-            .unwrap()
-            .run(PolicyKind::Baseline.build(GaParams::default()))
+    let cfg = SimConfig {
+        base: BaseScheduler::Fcfs,
+        backfill_algorithm: BackfillAlgorithm::Conservative,
+        backfill: BackfillScope::Queue,
+        ..SimConfig::default()
     };
-    let incremental = run(BackfillAlgorithm::Conservative);
-    let rebuild = run(BackfillAlgorithm::ConservativeRebuild);
-    assert_eq!(incremental.records.len(), 20_000);
-    assert_eq!(
-        incremental, rebuild,
-        "20k conservative SimResult diverged from the rebuild-per-pass oracle"
-    );
+    let result = assert_equivalent(&profile.system, &trace, cfg, PolicyKind::Baseline);
+    assert_eq!(result.records.len(), 20_000);
 }
 
 #[test]

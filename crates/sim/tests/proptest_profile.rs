@@ -11,10 +11,10 @@
 //!
 //! 1. mirror-fed fold `==` [`AvailabilityProfile::new`] over the ledger's
 //!    release schedule (bit-exact: same `times`, same `states`);
-//! 2. the skyline-indexed queries (`earliest_start`, `fits_interval`,
+//! 2. the column-scanned queries (`earliest_start`, `fits_interval`,
 //!    `state_at`) agree with the frozen scan-everything
-//!    [`LegacyProfile`], both before and after reservations partially
-//!    invalidate the skyline.
+//!    [`LegacyProfile`], both on the fresh fold and after reservations
+//!    have split and carved its segments.
 
 use bbsched_core::pools::PoolState;
 use bbsched_core::problem::{JobDemand, SSD_LARGE_GB, SSD_SMALL_GB};
@@ -119,7 +119,7 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                 prop_assert_eq!(&profile, &fresh, "incremental fold diverged at t={}", now);
 
                 // Queries agree with the frozen legacy implementation,
-                // with the skyline fully clean...
+                // on the fresh fold...
                 let mut legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
                 let probe = (sut.demand)(b, c, a);
                 let dur = 1.0 + f64::from(c % 40);
@@ -132,9 +132,8 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
                     legacy.fits_interval(&probe, now + f64::from(a % 11), dur)
                 );
 
-                // ...and with the skyline partially invalidated by
-                // reservations (carved identically into both profiles,
-                // reproducing the conservative strategy's usage).
+                // ...and after reservations (carved identically into both
+                // profiles, reproducing the conservative strategy's usage).
                 for salt in 0..2u16 {
                     let rd = (sut.demand)(a ^ salt, c, b);
                     let rdur = 1.0 + f64::from((b ^ salt) % 30);
