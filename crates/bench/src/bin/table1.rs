@@ -7,10 +7,10 @@
 //! Run: `cargo run --release -p bbsched-bench --bin table1`
 
 use bbsched_bench::report::{pct, Table};
+use bbsched_core::exhaustive;
 use bbsched_core::pools::PoolState;
 use bbsched_core::problem::{JobDemand, KnapsackMooProblem};
 use bbsched_core::resource::ResourceModel;
-use bbsched_core::{exhaustive, MooProblem};
 use bbsched_policies::{GaParams, PolicyKind};
 
 fn main() {

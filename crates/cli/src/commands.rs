@@ -404,7 +404,7 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
                     Some(w) => sim
                         .continue_from(w, kind.build(ga))
                         .map_err(|e| CliError::Run(e.to_string()))?,
-                    None => sim.run_shared(kind.build(ga)),
+                    None => sim.run(kind.build(ga)),
                 })
             }
         })

@@ -13,8 +13,9 @@
 //!    solutions, pick the one with the maximum improvement.
 //!
 //! All comparisons happen on *normalized* utilizations (each objective
-//! divided by its [`crate::problem::MooProblem::normalizers`] entry) so that
-//! nodes, GB of burst buffer, and GB of SSD are commensurable.
+//! divided by its [`crate::problem::KnapsackMooProblem::normalizers`]
+//! entry) so that nodes, GB of burst buffer, and GB of SSD are
+//! commensurable.
 
 use crate::pareto::{ParetoFront, Solution};
 use crate::MAX_OBJECTIVES;

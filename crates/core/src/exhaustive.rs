@@ -8,7 +8,7 @@
 
 use crate::chromosome::Chromosome;
 use crate::pareto::{ParetoFront, Solution};
-use crate::problem::MooProblem;
+use crate::problem::KnapsackMooProblem;
 
 /// Hard cap on window size: `2^30` evaluations is already ~minutes; beyond
 /// that the exhaustive solver is useless even as ground truth.
@@ -40,7 +40,7 @@ impl std::error::Error for WindowTooLarge {}
 /// objective vectors the front retains the selection whose jobs sit closest
 /// to the window rear — callers that care about the §3.2.4 tie-break should
 /// use [`crate::decision::choose_preferred`], which re-applies it.
-pub fn solve<P: MooProblem + ?Sized>(problem: &P) -> Result<ParetoFront, WindowTooLarge> {
+pub fn solve(problem: &KnapsackMooProblem) -> Result<ParetoFront, WindowTooLarge> {
     let w = problem.len();
     if w > MAX_EXHAUSTIVE_WINDOW {
         return Err(WindowTooLarge { len: w });
@@ -60,7 +60,7 @@ pub fn solve<P: MooProblem + ?Sized>(problem: &P) -> Result<ParetoFront, WindowT
 
 /// Counts feasible selections (diagnostic; used by tests and the Fig. 2
 /// harness to report search-space sizes).
-pub fn count_feasible<P: MooProblem + ?Sized>(problem: &P) -> Result<u64, WindowTooLarge> {
+pub fn count_feasible(problem: &KnapsackMooProblem) -> Result<u64, WindowTooLarge> {
     let w = problem.len();
     if w > MAX_EXHAUSTIVE_WINDOW {
         return Err(WindowTooLarge { len: w });
@@ -77,7 +77,7 @@ pub fn count_feasible<P: MooProblem + ?Sized>(problem: &P) -> Result<u64, Window
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{JobDemand, KnapsackMooProblem};
+    use crate::problem::JobDemand;
     use crate::resource::ResourceModel;
 
     fn table1_problem() -> KnapsackMooProblem {
@@ -106,7 +106,6 @@ mod tests {
         for mask in 0u64..(1 << 5) {
             let c = crate::Chromosome::from_mask(mask, 5);
             let p = table1_problem();
-            use crate::problem::MooProblem;
             if p.is_feasible(&c) {
                 let o = p.evaluate(&c);
                 for fp in front.objective_vectors() {

@@ -12,8 +12,8 @@
 //!   alone exceeds `P`, the newest of Set 1 are kept. Survivor ages
 //!   increment every generation, children start at age 0.
 //!
-//! Every chromosome is kept feasible via [`MooProblem::repair`], so the
-//! capacity constraints of the MOO formulation always hold.
+//! Every chromosome is kept feasible via [`KnapsackMooProblem::repair`], so
+//! the capacity constraints of the MOO formulation always hold.
 //!
 //! A scalarized mode ([`SolveMode::Scalar`]) reuses the same evolutionary
 //! machinery with "keep the best `P` by weighted sum" selection; this powers
@@ -23,7 +23,7 @@
 use crate::chromosome::Chromosome;
 use crate::parallel;
 use crate::pareto::{dominates, ParetoFront, Solution};
-use crate::problem::MooProblem;
+use crate::problem::KnapsackMooProblem;
 use crate::Objectives;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -36,8 +36,8 @@ pub enum SolveMode {
     Pareto,
     /// Single-objective selection by weighted sum of *normalized*
     /// objectives (weights are applied after dividing each objective by the
-    /// problem's [`MooProblem::normalizers`]). Used by the weighted and
-    /// constrained comparison methods.
+    /// problem's [`KnapsackMooProblem::normalizers`]). Used by the weighted
+    /// and constrained comparison methods.
     Scalar(Vec<f64>),
 }
 
@@ -55,13 +55,6 @@ pub struct GaConfig {
     pub seed: u64,
     /// Selection mode.
     pub mode: SolveMode,
-    /// Saturation polish: after each child is repaired, greedily select any
-    /// still-fitting window job (front-of-window first). Every *exact*
-    /// Pareto point of the §3.2.1/§5 problems is saturated — objectives are
-    /// monotone in the selection — so polishing weakly dominates the
-    /// unpolished chromosome and can only improve the approximation. Off by
-    /// default for strict fidelity to the paper's operator set.
-    pub saturate: bool,
 }
 
 impl Default for GaConfig {
@@ -72,7 +65,6 @@ impl Default for GaConfig {
             mutation_rate: 0.0005,
             seed: 0x5eed_b00c,
             mode: SolveMode::Pareto,
-            saturate: false,
         }
     }
 }
@@ -157,26 +149,10 @@ impl MooGa {
     /// Runs the GA and returns the Pareto front of the final generation
     /// (Set 1, §3.2.2). In scalar mode the returned front holds the single
     /// best solution by weighted sum.
-    pub fn solve<P: MooProblem + ?Sized>(&self, problem: &P) -> ParetoFront {
-        self.solve_traced(problem, &[]).final_front
-    }
-
-    /// Like [`MooGa::solve`], but additionally snapshots the front after
-    /// each generation count listed in `checkpoints` (must be sorted
-    /// ascending). Used to reproduce Fig. 4 (GD vs. `G`) in one run.
-    pub fn solve_traced<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        checkpoints: &[usize],
-    ) -> GaTrace {
-        debug_assert!(checkpoints.windows(2).all(|w| w[0] <= w[1]));
+    pub fn solve(&self, problem: &KnapsackMooProblem) -> ParetoFront {
         let w = problem.len();
-        let mut trace = GaTrace::default();
         if w == 0 {
-            for &c in checkpoints {
-                trace.checkpoints.push((c, ParetoFront::new()));
-            }
-            return trace;
+            return ParetoFront::new();
         }
 
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
@@ -185,20 +161,13 @@ impl MooGa {
         // the same children over and over, so most late-run lookups hit.
         let mut memo = parallel::EvalMemo::new();
         let mut pop = self.initial_population(problem, &mut rng, &mut memo);
-        let mut next_checkpoint = 0usize;
-
-        // Snapshot before any evolution if generation 0 is requested.
-        while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == 0 {
-            trace.checkpoints.push((0, self.extract_front(problem, &pop)));
-            next_checkpoint += 1;
-        }
 
         let mut children_chroms: Vec<Chromosome> = Vec::with_capacity(p + 1);
         // Chromosomes dropped by selection, recycled as crossover children so
         // the steady-state loop allocates nothing.
         let mut recycle: Vec<Chromosome> = Vec::with_capacity(2 * p);
         let mut scratch = SelectScratch::default();
-        for gen in 1..=self.config.generations {
+        for _ in 0..self.config.generations {
             // --- crossover + mutation -> P children ---
             children_chroms.clear();
             while children_chroms.len() < p {
@@ -219,12 +188,7 @@ impl MooGa {
             }
 
             // --- repair + evaluate (memoized) ---
-            let objs = parallel::repair_and_evaluate_memo(
-                problem,
-                &mut children_chroms,
-                self.config.saturate,
-                &mut memo,
-            );
+            let objs = parallel::repair_and_evaluate_memo(problem, &mut children_chroms, &mut memo);
 
             // --- selection over parents + children ---
             let mut pool: Vec<Individual> = pop;
@@ -241,15 +205,9 @@ impl MooGa {
             for ind in &mut pop {
                 ind.age += 1;
             }
-
-            while next_checkpoint < checkpoints.len() && checkpoints[next_checkpoint] == gen {
-                trace.checkpoints.push((gen, self.extract_front(problem, &pop)));
-                next_checkpoint += 1;
-            }
         }
 
-        trace.final_front = self.extract_front(problem, &pop);
-        trace
+        self.extract_front(problem, &pop)
     }
 
     /// Convenience for scalarized policies: returns the single best
@@ -257,7 +215,7 @@ impl MooGa {
     ///
     /// # Panics
     /// Panics if called on a Pareto-mode solver.
-    pub fn solve_scalar<P: MooProblem + ?Sized>(&self, problem: &P) -> Solution {
+    pub fn solve_scalar(&self, problem: &KnapsackMooProblem) -> Solution {
         assert!(
             matches!(self.config.mode, SolveMode::Scalar(_)),
             "solve_scalar requires SolveMode::Scalar"
@@ -269,9 +227,9 @@ impl MooGa {
         })
     }
 
-    fn initial_population<P: MooProblem + ?Sized>(
+    fn initial_population(
         &self,
-        problem: &P,
+        problem: &KnapsackMooProblem,
         rng: &mut SmallRng,
         memo: &mut parallel::EvalMemo,
     ) -> Vec<Individual> {
@@ -287,8 +245,7 @@ impl MooGa {
                 c
             })
             .collect();
-        let objs =
-            parallel::repair_and_evaluate_memo(problem, &mut chroms, self.config.saturate, memo);
+        let objs = parallel::repair_and_evaluate_memo(problem, &mut chroms, memo);
         chroms
             .into_iter()
             .zip(objs)
@@ -321,11 +278,7 @@ impl MooGa {
         }
     }
 
-    fn extract_front<P: MooProblem + ?Sized>(
-        &self,
-        problem: &P,
-        pop: &[Individual],
-    ) -> ParetoFront {
+    fn extract_front(&self, problem: &KnapsackMooProblem, pop: &[Individual]) -> ParetoFront {
         match &self.config.mode {
             SolveMode::Pareto => ParetoFront::from_pool(
                 pop.iter().map(|i| Solution { chromosome: i.chrom.clone(), objectives: i.objs }),
@@ -347,15 +300,6 @@ impl MooGa {
             }
         }
     }
-}
-
-/// Result of a traced GA run.
-#[derive(Debug, Default)]
-pub struct GaTrace {
-    /// `(generation, front)` snapshots at the requested checkpoints.
-    pub checkpoints: Vec<(usize, ParetoFront)>,
-    /// Front after the final generation.
-    pub final_front: ParetoFront,
 }
 
 #[inline]
@@ -512,7 +456,7 @@ fn select_scalar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{JobDemand, KnapsackMooProblem};
+    use crate::problem::JobDemand;
     use crate::resource::ResourceModel;
 
     fn table1_problem() -> KnapsackMooProblem {
@@ -558,7 +502,6 @@ mod tests {
         let p = table1_problem();
         let ga = MooGa::new(GaConfig { generations: 100, ..GaConfig::default() });
         let front = ga.solve(&p);
-        use crate::problem::MooProblem;
         for s in front.solutions() {
             assert!(p.is_feasible(&s.chromosome));
         }
@@ -590,49 +533,6 @@ mod tests {
         };
         let best = MooGa::new(cfg).solve_scalar(&p);
         assert_eq!(best.objectives[1], 90_000.0);
-    }
-
-    #[test]
-    fn traced_checkpoints_are_recorded() {
-        let p = table1_problem();
-        let ga = MooGa::new(GaConfig { generations: 30, ..GaConfig::default() });
-        let trace = ga.solve_traced(&p, &[0, 10, 30]);
-        let gens: Vec<usize> = trace.checkpoints.iter().map(|(g, _)| *g).collect();
-        assert_eq!(gens, vec![0, 10, 30]);
-        assert!(!trace.final_front.is_empty());
-    }
-
-    #[test]
-    fn saturation_improves_or_matches_front_quality() {
-        use crate::quality::hypervolume_2d;
-        // On random windows the saturated GA's hypervolume should never be
-        // worse than the plain GA's under the same seed/budget.
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(31);
-        for trial in 0..5 {
-            let window: Vec<JobDemand> = (0..20)
-                .map(|_| {
-                    JobDemand::cpu_bb(rng.random_range(8..200), rng.random_range(0.0..30_000.0))
-                })
-                .collect();
-            let p = KnapsackMooProblem::new(window, ResourceModel::cpu_bb(500, 80_000.0));
-            let solve = |saturate: bool| {
-                let cfg = GaConfig {
-                    generations: 100,
-                    seed: 1000 + trial,
-                    saturate,
-                    ..GaConfig::default()
-                };
-                hypervolume_2d(&MooGa::new(cfg).solve(&p), 0.0, 0.0)
-            };
-            let plain = solve(false);
-            let polished = solve(true);
-            assert!(
-                polished >= plain * 0.999,
-                "trial {trial}: saturation regressed hypervolume {plain} -> {polished}"
-            );
-        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! This crate provides, paper-section by paper-section:
 //!
 //! * [`problem`] — the MOO formulations of §3.2.1 (CPU + burst buffer) and
-//!   §5 (CPU + burst buffer + heterogeneous local SSD), behind the
-//!   [`problem::MooProblem`] trait so further resources can be added.
+//!   §5 (CPU + burst buffer + heterogeneous local SSD), both presets of
+//!   one [`problem::KnapsackMooProblem`] over a [`resource::ResourceModel`],
+//!   so further resources are added as data.
 //! * [`chromosome`] — the binary selection vector (one gene per window
 //!   slot), backed by a compact `u64` bitset.
 //! * [`ga`] — the genetic solver of §3.2.2: population `P`, generations
@@ -77,7 +78,7 @@ pub use decision::{choose_knee, choose_preferred, DecisionRule};
 pub use ga::{GaConfig, GaConfigError, MooGa, SolveMode};
 pub use pareto::{dominates, ParetoFront};
 pub use pools::{NodeAssignment, PoolState};
-pub use problem::{Available, JobDemand, KnapsackMooProblem, MooProblem, RepairStyle};
+pub use problem::{Available, JobDemand, KnapsackMooProblem, RepairStyle};
 pub use resource::{
     DemandSlot, Flavor, FlavorSet, ResourceKind, ResourceModel, ResourceModelError, ResourceSpec,
     ResourceVector, MAX_FLAVORS, MAX_RESOURCES,

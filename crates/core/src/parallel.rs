@@ -18,7 +18,7 @@
 //! exit and propagates their panics.
 
 use crate::chromosome::Chromosome;
-use crate::problem::MooProblem;
+use crate::problem::KnapsackMooProblem;
 use crate::Objectives;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -54,34 +54,11 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// Greedy saturation: select every still-fitting unselected job, front of
-/// the window first. Because both MOO formulations have objectives that are
-/// monotone in the selection, the saturated chromosome weakly dominates the
-/// input — exact Pareto points are always saturated.
+/// Memo of repair + evaluate results, keyed by the *pre-repair* chromosome.
 ///
-/// Feasibility probes go through the problem's scratch state
-/// ([`MooProblem::scratch_from`]), so one pass over the window costs O(w)
-/// aggregate work instead of the O(w²) of a full rescan per probe.
-pub fn saturate<P: MooProblem + ?Sized>(problem: &P, c: &mut Chromosome) {
-    let mut scratch = problem.scratch_from(c);
-    for i in 0..c.len() {
-        if !c.get(i) {
-            problem.scratch_set(&mut scratch, i, true);
-            if problem.scratch_is_feasible(&scratch) {
-                c.set(i, true);
-            } else {
-                problem.scratch_set(&mut scratch, i, false);
-            }
-        }
-    }
-}
-
-/// Memo of repair/saturate/evaluate results, keyed by the *pre-repair*
-/// chromosome.
-///
-/// Sound because repair and saturation are pure functions of the chromosome
-/// (the cyclic repair order derives from the content hash, not an RNG) and
-/// `evaluate` is pure by the [`MooProblem`] contract. Duplicate children
+/// Sound because repair is a pure function of the chromosome (the cyclic
+/// repair order derives from the content hash, not an RNG) and so is
+/// [`KnapsackMooProblem::evaluate`]. Duplicate children
 /// proliferate once the population converges — crossover of equal parents
 /// reproduces them exactly — so late-run generations hit the memo almost
 /// every time. One memo must never be shared across different problems.
@@ -107,14 +84,13 @@ impl EvalMemo {
     }
 }
 
-/// Repairs (and optionally saturates) every chromosome in place and returns
-/// their objective vectors. Each chromosome is looked up pre-repair, and
-/// only misses pay for repair + saturation + evaluation; hits restore the
-/// repaired chromosome, so results match an unmemoized pass exactly.
-pub fn repair_and_evaluate_memo<P: MooProblem + ?Sized>(
-    problem: &P,
+/// Repairs every chromosome in place and returns their objective vectors.
+/// Each chromosome is looked up pre-repair, and only misses pay for the
+/// fused [`KnapsackMooProblem::repair_evaluate`]; hits restore the repaired
+/// chromosome, so results match an unmemoized pass exactly.
+pub fn repair_and_evaluate_memo(
+    problem: &KnapsackMooProblem,
     chroms: &mut [Chromosome],
-    saturate_after: bool,
     memo: &mut EvalMemo,
 ) -> Vec<Objectives> {
     chroms
@@ -125,13 +101,7 @@ pub fn repair_and_evaluate_memo<P: MooProblem + ?Sized>(
                 return *objs;
             }
             let key = c.clone();
-            let objs = if saturate_after {
-                problem.repair(c);
-                saturate(problem, c);
-                problem.evaluate(c)
-            } else {
-                problem.repair_evaluate(c)
-            };
+            let objs = problem.repair_evaluate(c);
             memo.map.insert(key, (c.clone(), objs));
             objs
         })
@@ -177,25 +147,20 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{JobDemand, KnapsackMooProblem};
+    use crate::problem::JobDemand;
     use crate::resource::ResourceModel;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// The unmemoized oracle: repair, optionally saturate, and evaluate
-    /// every chromosome afresh.
-    fn repair_and_evaluate<P: MooProblem + ?Sized>(
-        problem: &P,
+    /// The unmemoized oracle: repair, then evaluate every chromosome afresh.
+    fn repair_and_evaluate(
+        problem: &KnapsackMooProblem,
         chroms: &mut [Chromosome],
-        saturate_after: bool,
     ) -> Vec<Objectives> {
         chroms
             .iter_mut()
             .map(|c| {
                 problem.repair(c);
-                if saturate_after {
-                    saturate(problem, c);
-                }
                 problem.evaluate(c)
             })
             .collect()
@@ -224,7 +189,7 @@ mod tests {
     #[test]
     fn all_outputs_feasible() {
         let (problem, mut chroms) = random_problem(25, 11);
-        let _ = repair_and_evaluate_memo(&problem, &mut chroms, false, &mut EvalMemo::new());
+        let _ = repair_and_evaluate_memo(&problem, &mut chroms, &mut EvalMemo::new());
         for c in &chroms {
             assert!(problem.is_feasible(c));
         }
@@ -234,7 +199,7 @@ mod tests {
     fn handles_single_chromosome() {
         let (problem, mut chroms) = random_problem(10, 3);
         chroms.truncate(1);
-        let out = repair_and_evaluate_memo(&problem, &mut chroms, false, &mut EvalMemo::new());
+        let out = repair_and_evaluate_memo(&problem, &mut chroms, &mut EvalMemo::new());
         assert_eq!(out.len(), 1);
     }
 
@@ -242,7 +207,7 @@ mod tests {
     fn handles_empty_batch() {
         let (problem, _) = random_problem(10, 3);
         let mut none: Vec<Chromosome> = vec![];
-        let out = repair_and_evaluate_memo(&problem, &mut none, false, &mut EvalMemo::new());
+        let out = repair_and_evaluate_memo(&problem, &mut none, &mut EvalMemo::new());
         assert!(out.is_empty());
     }
 
@@ -267,58 +232,16 @@ mod tests {
         // Duplicate a prefix so the memo actually gets hits.
         let mut with_dups = chroms.clone();
         with_dups.extend(chroms.iter().take(8).cloned());
-        for saturate_after in [false, true] {
-            let mut plain = with_dups.clone();
-            let mut memoed = with_dups.clone();
-            let mut memo = EvalMemo::new();
-            assert!(memo.is_empty());
-            let po = repair_and_evaluate(&problem, &mut plain, saturate_after);
-            let mo = repair_and_evaluate_memo(&problem, &mut memoed, saturate_after, &mut memo);
-            assert_eq!(plain, memoed, "memo hits must restore the repaired chromosome");
-            for (a, b) in po.iter().zip(&mo) {
-                assert_eq!(a.as_slice(), b.as_slice());
-            }
-            assert!(memo.len() <= with_dups.len() - 8, "duplicates must hit, not insert");
+        let mut plain = with_dups.clone();
+        let mut memoed = with_dups.clone();
+        let mut memo = EvalMemo::new();
+        assert!(memo.is_empty());
+        let po = repair_and_evaluate(&problem, &mut plain);
+        let mo = repair_and_evaluate_memo(&problem, &mut memoed, &mut memo);
+        assert_eq!(plain, memoed, "memo hits must restore the repaired chromosome");
+        for (a, b) in po.iter().zip(&mo) {
+            assert_eq!(a.as_slice(), b.as_slice());
         }
-    }
-
-    #[test]
-    fn saturation_weakly_dominates() {
-        let (problem, chroms) = random_problem(30, 19);
-        for c in &chroms {
-            let mut repaired = c.clone();
-            problem.repair(&mut repaired);
-            let before = problem.evaluate(&repaired);
-            let mut polished = repaired.clone();
-            saturate(&problem, &mut polished);
-            assert!(problem.is_feasible(&polished));
-            let after = problem.evaluate(&polished);
-            for (b, a) in before.as_slice().iter().zip(after.as_slice()) {
-                assert!(a >= b, "saturation must not lose objective value");
-            }
-            // Saturated: no unselected job fits.
-            for i in 0..polished.len() {
-                if !polished.get(i) {
-                    let mut probe = polished.clone();
-                    probe.set(i, true);
-                    assert!(!problem.is_feasible(&probe), "job {i} still fits after saturation");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn saturated_batch_matches_flag() {
-        let (problem, chroms) = random_problem(20, 23);
-        let mut plain = chroms.clone();
-        let mut polished = chroms;
-        let _ = repair_and_evaluate_memo(&problem, &mut plain, false, &mut EvalMemo::new());
-        let _ = repair_and_evaluate_memo(&problem, &mut polished, true, &mut EvalMemo::new());
-        // Polished chromosomes select a superset of the plain ones.
-        for (a, b) in plain.iter().zip(&polished) {
-            for i in 0..a.len() {
-                assert!(!a.get(i) || b.get(i), "saturation removed a selection");
-            }
-        }
+        assert!(memo.len() <= with_dups.len() - 8, "duplicates must hit, not insert");
     }
 }

@@ -90,109 +90,6 @@ impl Available {
     }
 }
 
-/// Incremental-evaluation state for repeated feasibility probes against one
-/// selection (see [`MooProblem::scratch_from`]).
-///
-/// Holds a mirror of the selection it describes plus, for problems that
-/// support constant-time deltas ([`KnapsackMooProblem`]), the running
-/// `Aggregate` of the mirrored selection. Probing feasibility after a
-/// single-gene change through the scratch is O(R) instead of the O(w)
-/// full rescan of [`MooProblem::is_feasible`], which turns the O(w²)
-/// flip-probe loops of saturation and unconditional repair into O(w).
-#[derive(Clone, Debug)]
-pub struct EvalScratch {
-    /// The selection this scratch describes. Default trait implementations
-    /// evaluate feasibility from it directly; incremental implementations
-    /// keep it as the debug-assert oracle.
-    mirror: Chromosome,
-    /// Running aggregate demand, maintained by delta; `None` for problems
-    /// without an incremental override.
-    agg: Option<Aggregate>,
-}
-
-impl EvalScratch {
-    /// The selection the scratch currently describes.
-    pub fn selection(&self) -> &Chromosome {
-        &self.mirror
-    }
-}
-
-/// A multi-objective window-selection problem.
-///
-/// Implementations must guarantee that `evaluate` is a pure function of the
-/// chromosome (the GA caches objective vectors) and that `repair` always
-/// produces a feasible chromosome.
-pub trait MooProblem: Sync {
-    /// Window size `w` (number of genes).
-    fn len(&self) -> usize;
-
-    /// `true` when the window holds no jobs.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of objectives (2 for §3.2.1, 4 for §5).
-    fn num_objectives(&self) -> usize;
-
-    /// Computes the objective vector of a (feasible) selection.
-    fn evaluate(&self, x: &Chromosome) -> Objectives;
-
-    /// Whether the selection satisfies every capacity constraint.
-    fn is_feasible(&self, x: &Chromosome) -> bool;
-
-    /// Makes `x` feasible by deselecting jobs, never by selecting new ones.
-    ///
-    /// BBSched's repair drops set genes in a pseudo-random cyclic order
-    /// derived from the chromosome itself (pure, parallel-safe, and free of
-    /// positional bias — a rear-first rule was found to systematically
-    /// starve rear-window genes and collapse GA diversity; see DESIGN.md
-    /// §6). The paper leaves constraint handling unspecified.
-    fn repair(&self, x: &mut Chromosome);
-
-    /// Per-objective normalization factors that convert raw objective values
-    /// (node counts, GB) into system-relative utilization fractions. Used by
-    /// the decision maker and by scalarizing policies so that weights are
-    /// comparable across resources.
-    fn normalizers(&self) -> Objectives;
-
-    /// Creates scratch state describing the selection `x`, priming whatever
-    /// running aggregates the problem maintains incrementally.
-    ///
-    /// The default implementation (and the defaults of the other `scratch_*`
-    /// methods) falls back to full rescans of the mirrored selection, so
-    /// trait implementors get correct — if not faster — behavior for free.
-    fn scratch_from(&self, x: &Chromosome) -> EvalScratch {
-        EvalScratch { mirror: x.clone(), agg: None }
-    }
-
-    /// Sets gene `i` of the scratch's selection to `on`, applying the
-    /// matching ±item delta to any running aggregate. A no-op when the gene
-    /// already has that value.
-    fn scratch_set(&self, scratch: &mut EvalScratch, i: usize, on: bool) {
-        scratch.mirror.set(i, on);
-        let _ = self;
-    }
-
-    /// Whether the scratch's selection satisfies every capacity constraint;
-    /// the same contract as [`MooProblem::is_feasible`], answered from the
-    /// running aggregate when the problem maintains one.
-    fn scratch_is_feasible(&self, scratch: &EvalScratch) -> bool {
-        self.is_feasible(&scratch.mirror)
-    }
-
-    /// Repairs `x` and returns its objective vector — exactly
-    /// `repair(x); evaluate(x)`, which is also the default implementation.
-    ///
-    /// Problems that aggregate demand during repair may override this to
-    /// reuse that aggregate for evaluation when repair dropped nothing (the
-    /// common case once the GA population is mostly feasible), saving one
-    /// full window rescan per chromosome.
-    fn repair_evaluate(&self, x: &mut Chromosome) -> Objectives {
-        self.repair(x);
-        self.evaluate(x)
-    }
-}
-
 /// Floating-point slack for burst-buffer feasibility: requests are sums of
 /// values ≥ 1 GB, so a relative epsilon avoids rejecting selections that are
 /// feasible up to rounding.
@@ -364,6 +261,72 @@ impl KnapsackMooProblem {
         self.repair_style
     }
 
+    /// Window size `w` (number of genes).
+    pub fn len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// `true` when the window holds no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// Number of objectives (2 for §3.2.1, 4 for §5).
+    pub fn num_objectives(&self) -> usize {
+        self.n_obj
+    }
+
+    /// Computes the objective vector of a (feasible) selection. A pure
+    /// function of the chromosome, which the GA's memo relies on.
+    pub fn evaluate(&self, x: &Chromosome) -> Objectives {
+        self.objectives_from_agg(&self.aggregate(x))
+    }
+
+    /// Whether the selection satisfies every capacity constraint.
+    pub fn is_feasible(&self, x: &Chromosome) -> bool {
+        self.feasible_agg(&self.aggregate(x))
+    }
+
+    /// Makes `x` feasible by deselecting jobs, never by selecting new ones.
+    ///
+    /// BBSched's repair drops set genes in a pseudo-random cyclic order
+    /// derived from the chromosome itself (pure, parallel-safe, and free of
+    /// positional bias — a rear-first rule was found to systematically
+    /// starve rear-window genes and collapse GA diversity; see DESIGN.md
+    /// §6). The paper leaves constraint handling unspecified; which genes
+    /// are dropped is set by the [`RepairStyle`].
+    pub fn repair(&self, x: &mut Chromosome) {
+        let _ = self.repair_impl(x);
+    }
+
+    /// Per-objective normalization factors that convert raw objective values
+    /// (node counts, GB) into system-relative utilization fractions. Used by
+    /// the decision maker and by scalarizing policies so that weights are
+    /// comparable across resources.
+    pub fn normalizers(&self) -> Objectives {
+        self.norm
+    }
+
+    /// Repairs `x` and returns its objective vector — exactly
+    /// `repair(x); evaluate(x)`, bit for bit.
+    ///
+    /// Repair aggregates the selection's demand anyway; when it dropped
+    /// nothing (the common case once the GA population is mostly feasible)
+    /// that aggregate is reused for evaluation, saving one full window
+    /// rescan per chromosome.
+    pub fn repair_evaluate(&self, x: &mut Chromosome) -> Objectives {
+        let (agg, changed) = self.repair_impl(x);
+        if changed {
+            // Drops updated `agg` by deltas; objectives must come from the
+            // same ascending full rescan `evaluate` performs so they are
+            // bit-identical to the unfused path.
+            self.evaluate(x)
+        } else {
+            // `agg` *is* the full rescan of the untouched selection.
+            self.objectives_from_agg(&agg)
+        }
+    }
+
     fn aggregate(&self, x: &Chromosome) -> Aggregate {
         let mut agg = Aggregate::zero();
         let track_classes = self.per_node.is_some();
@@ -470,27 +433,16 @@ impl KnapsackMooProblem {
         matches!(self.per_node, Some((pr, _)) if pr == r)
     }
 
-    /// Adds (`on = true`) or removes (`on = false`) one item's demand from a
-    /// running aggregate — the O(R) delta behind the scratch API and both
-    /// repair loops.
+    /// Removes one dropped item's demand from a running aggregate — the
+    /// O(R) delta behind both repair loops.
     #[inline]
-    fn apply_item(&self, agg: &mut Aggregate, it: &Item, on: bool) {
-        if on {
-            agg.nodes += u64::from(it.nodes);
-            for r in 1..self.n_res {
-                agg.sums[r] += it.totals.get(r);
-            }
-            if self.per_node.is_some() {
-                agg.class_nodes[usize::from(it.class)] += u64::from(it.nodes);
-            }
-        } else {
-            agg.nodes -= u64::from(it.nodes);
-            for r in 1..self.n_res {
-                agg.sums[r] -= it.totals.get(r);
-            }
-            if self.per_node.is_some() {
-                agg.class_nodes[usize::from(it.class)] -= u64::from(it.nodes);
-            }
+    fn remove_item(&self, agg: &mut Aggregate, it: &Item) {
+        agg.nodes -= u64::from(it.nodes);
+        for r in 1..self.n_res {
+            agg.sums[r] -= it.totals.get(r);
+        }
+        if self.per_node.is_some() {
+            agg.class_nodes[usize::from(it.class)] -= u64::from(it.nodes);
         }
     }
 
@@ -529,7 +481,7 @@ impl KnapsackMooProblem {
                     let i = (start + k) % w;
                     if x.get(i) {
                         x.set(i, false);
-                        self.apply_item(&mut agg, &self.items[i], false);
+                        self.remove_item(&mut agg, &self.items[i]);
                         changed = true;
                         if self.feasible_agg(&agg) {
                             break;
@@ -553,7 +505,7 @@ impl KnapsackMooProblem {
                         let it = &self.items[i];
                         if self.relieves(&agg, it) {
                             x.set(i, false);
-                            self.apply_item(&mut agg, it, false);
+                            self.remove_item(&mut agg, it);
                             changed = true;
                         }
                     }
@@ -592,71 +544,6 @@ impl KnapsackMooProblem {
             }
         }
         false
-    }
-}
-
-impl MooProblem for KnapsackMooProblem {
-    fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    fn num_objectives(&self) -> usize {
-        self.n_obj
-    }
-
-    fn evaluate(&self, x: &Chromosome) -> Objectives {
-        self.objectives_from_agg(&self.aggregate(x))
-    }
-
-    fn is_feasible(&self, x: &Chromosome) -> bool {
-        self.feasible_agg(&self.aggregate(x))
-    }
-
-    fn repair(&self, x: &mut Chromosome) {
-        let _ = self.repair_impl(x);
-    }
-
-    fn normalizers(&self) -> Objectives {
-        self.norm
-    }
-
-    fn repair_evaluate(&self, x: &mut Chromosome) -> Objectives {
-        let (agg, changed) = self.repair_impl(x);
-        if changed {
-            // Drops updated `agg` by deltas; objectives must come from the
-            // same ascending full rescan `evaluate` performs so they are
-            // bit-identical to the unfused path.
-            self.evaluate(x)
-        } else {
-            // `agg` *is* the full rescan of the untouched selection.
-            self.objectives_from_agg(&agg)
-        }
-    }
-
-    fn scratch_from(&self, x: &Chromosome) -> EvalScratch {
-        EvalScratch { mirror: x.clone(), agg: Some(self.aggregate(x)) }
-    }
-
-    fn scratch_set(&self, scratch: &mut EvalScratch, i: usize, on: bool) {
-        if scratch.mirror.get(i) == on {
-            return;
-        }
-        scratch.mirror.set(i, on);
-        let agg = scratch.agg.as_mut().expect("scratch was built by KnapsackMooProblem");
-        self.apply_item(agg, &self.items[i], on);
-    }
-
-    fn scratch_is_feasible(&self, scratch: &EvalScratch) -> bool {
-        let agg = scratch.agg.as_ref().expect("scratch was built by KnapsackMooProblem");
-        let fast = self.feasible_agg(agg);
-        // Full-rescan oracle: the incremental aggregate must reach the same
-        // verdict as re-aggregating the mirrored selection from scratch.
-        debug_assert_eq!(
-            fast,
-            self.is_feasible(&scratch.mirror),
-            "incremental feasibility diverged from the full rescan"
-        );
-        fast
     }
 }
 

@@ -8,7 +8,7 @@
 use crate::{build_problem, GaParams, SelectionPolicy};
 use bbsched_core::decision::{choose_preferred, DecisionRule};
 use bbsched_core::pools::PoolState;
-use bbsched_core::problem::{JobDemand, MooProblem};
+use bbsched_core::problem::{JobDemand, KnapsackMooProblem};
 use bbsched_core::{MooGa, ParetoFront, SolveMode};
 
 /// The BBSched multi-objective policy.
@@ -78,9 +78,9 @@ impl BbschedPolicy {
         self.decide(&problem, cfg, rule)
     }
 
-    fn decide<P: MooProblem>(
+    fn decide(
         &self,
-        problem: &P,
+        problem: &KnapsackMooProblem,
         cfg: bbsched_core::GaConfig,
         rule: DecisionRule,
     ) -> (ParetoFront, Vec<usize>) {

@@ -9,7 +9,7 @@
 
 use crate::{GaParams, SelectionPolicy};
 use bbsched_core::pools::PoolState;
-use bbsched_core::problem::{JobDemand, MooProblem};
+use bbsched_core::problem::JobDemand;
 use bbsched_core::{MooGa, SolveMode};
 
 /// Which resource the constrained method treats as its first-class

@@ -125,7 +125,6 @@ impl GaParams {
             mutation_rate: self.mutation_rate,
             seed: invocation_seed(self.base_seed, invocation),
             mode,
-            saturate: false,
         }
     }
 }

@@ -1957,6 +1957,7 @@ pub struct ConservativeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::legacy_profile::LegacyProfile;
     use bbsched_core::resource::{DemandSlot, Flavor, ResourceModel, ResourceSpec};
 
     fn d(nodes: u32, bb: f64) -> JobDemand {
@@ -2368,13 +2369,15 @@ mod tests {
 
     /// Folds a profile at `now` over the running jobs `running` start on
     /// a fresh ledger of `pool` (those that fit), releasing at integer
-    /// offsets after `now`.
+    /// offsets after `now`. Also hands back the frozen [`LegacyProfile`]
+    /// built from the same ledger's release schedule, an oracle that
+    /// shares none of the column code.
     fn fold_running(
         pool: PoolState,
         kind: u32,
         running: &[(u16, u16)],
         now: f64,
-    ) -> AvailabilityProfile {
+    ) -> (AvailabilityProfile, LegacyProfile) {
         let mut ledger = AllocLedger::new(pool);
         for (i, &(a, b)) in running.iter().enumerate() {
             let d = shaped_demand(kind, a % 64, (b % 4) as u8, (b >> 8) as u8);
@@ -2386,7 +2389,8 @@ mod tests {
         let mut profile = AvailabilityProfile::default();
         mirror.sync(&ledger);
         mirror.fold_into(now, *ledger.pool(), &mut profile);
-        profile
+        let legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
+        (profile, legacy)
     }
 
     proptest::proptest! {
@@ -2443,7 +2447,7 @@ mod tests {
         ) {
             for (pool, kind) in profile_systems() {
                 let now = 50.0;
-                let mut profile = fold_running(pool, kind, &running, now);
+                let (mut profile, _) = fold_running(pool, kind, &running, now);
                 let mut memo = DominanceMemo::default();
                 for &(a, b, c, k) in &cands {
                     let d = shaped_demand(kind, a, b, c);
@@ -2473,12 +2477,13 @@ mod tests {
         /// carried rank, carve at the slot's ranks, memo ranks shifted
         /// past split-in boundaries — answers bit for bit like the linear
         /// walk and leaves the profile exactly where `earliest_start` +
-        /// `reserve` leave a clone (boundaries, states,
-        /// watermark), with every carried memo rank current after every
-        /// carve. Queries start at `now`, at the memo's bound, or at any
-        /// noted answer; a non-boundary `from` takes `reserve_earliest`,
-        /// whose answer at `from` itself goes through the wrapper's
-        /// start split.
+        /// `reserve` leave a clone (boundaries, states, watermark) and
+        /// where `LegacyProfile::reserve` leaves the frozen oracle
+        /// (boundaries, states), with every carried memo rank current
+        /// after every carve. Queries start at `now`, at the memo's
+        /// bound, or at any noted answer; a non-boundary `from` takes
+        /// `reserve_earliest`, whose answer at `from` itself goes through
+        /// the wrapper's start split.
         #[test]
         fn rank_carrying_step_equals_query_then_reserve(
             running in proptest::collection::vec((0u16..u16::MAX, 0u16..u16::MAX), 0..60),
@@ -2487,7 +2492,7 @@ mod tests {
         ) {
             for (pool, kind) in profile_systems() {
                 let now = 50.0;
-                let mut profile = fold_running(pool, kind, &running, now);
+                let (mut profile, mut legacy) = fold_running(pool, kind, &running, now);
                 let mut twin = profile.clone();
                 let mut memo = DominanceMemo::default();
                 for &(a, b, c, k, mode) in &cands {
@@ -2502,6 +2507,7 @@ mod tests {
                         proptest::prop_assert_eq!(t.to_bits(), want.to_bits());
                         if want.is_finite() {
                             twin.reserve(&d, want, dur);
+                            legacy.reserve(&d, want, dur);
                         }
                         // The start split moved ranks the memo cannot
                         // follow; a pass never queries off a boundary.
@@ -2530,6 +2536,7 @@ mod tests {
                                 memo.shift_ranks(hi);
                             }
                             twin.reserve(&d, t, dur);
+                            legacy.reserve(&d, t, dur);
                         }
                         if t > from.max(now + TIME_EPS) {
                             memo.note(&d, dur, t, lo);
@@ -2538,6 +2545,12 @@ mod tests {
                     proptest::prop_assert_eq!(profile.times(), twin.times());
                     proptest::prop_assert_eq!(profile.states(), twin.states());
                     proptest::prop_assert_eq!(profile.skyline_clean_from, twin.skyline_clean_from);
+                    proptest::prop_assert_eq!(
+                        profile.times(), legacy.times(), "system {}: boundaries vs LegacyProfile", kind
+                    );
+                    proptest::prop_assert_eq!(
+                        profile.states(), legacy.states(), "system {}: states vs LegacyProfile", kind
+                    );
                     for (e, &r) in memo.entries.iter().zip(&memo.ranks) {
                         proptest::prop_assert_eq!(r as usize, profile.times().partition_point(|x| *x < e.t));
                     }

@@ -46,8 +46,8 @@
 //!   submitted demands;
 //! * [`replay`] — the online streaming driver;
 //! * [`state`] — the explicit-state contract: [`CoreSnapshot`] and the
-//!   versioned JSON wire encoding behind [`SchedCore::snapshot`],
-//!   [`SchedCore::restore`], and [`SchedCore::fork`] (DESIGN.md §12);
+//!   versioned JSON wire encoding behind [`SchedCore::snapshot`] and
+//!   [`SchedCore::restore`] (DESIGN.md §12);
 //! * [`durability`] — the crash-safety layer: the [`Journal`]
 //!   write-ahead log, rolling [`SnapshotStore`] checkpoints, and the
 //!   binary snapshot encoding negotiated alongside JSON (DESIGN.md §13).

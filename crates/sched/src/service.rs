@@ -654,20 +654,6 @@ impl<'o> SchedCore<'o> {
             scratch: Scratch::default(),
         })
     }
-
-    /// Branches the live core: an independent copy that continues from
-    /// the current state under the supplied `policy` and `observers`
-    /// (what-if forking — same state, possibly a different policy).
-    /// Equivalent to `SchedCore::restore(self.snapshot(), …)`, which is
-    /// exactly how it is implemented, so fork and checkpoint/resume can
-    /// never diverge.
-    pub fn fork<'n>(
-        &self,
-        policy: Box<dyn SelectionPolicy>,
-        observers: Vec<&'n mut dyn SchedObserver>,
-    ) -> Result<SchedCore<'n>, SchedError> {
-        SchedCore::restore(self.snapshot(), policy, observers)
-    }
 }
 
 #[cfg(test)]
@@ -917,9 +903,12 @@ mod tests {
         // What-if branch: same state, a different policy. Policy state
         // from the snapshot (none here, but names differ anyway) is not
         // injected into the replacement.
-        let f = c
-            .fork(PolicyKind::BbSched.build(GaParams::default()), Vec::new())
-            .expect("fork under a different policy");
+        let f = SchedCore::restore(
+            c.snapshot(),
+            PolicyKind::BbSched.build(GaParams::default()),
+            Vec::new(),
+        )
+        .expect("restore under a different policy");
         assert_eq!(f.policy_name(), "BBSched");
         assert_eq!(f.invocations(), c.invocations());
         assert_eq!(f.queue_len(), c.queue_len());

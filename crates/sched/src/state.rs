@@ -12,10 +12,11 @@
 //!
 //! [`CoreSnapshot`] aggregates them all into one owned, serializable
 //! value: the *complete* cross-invocation state of a core between two
-//! invocations. [`crate::SchedCore::snapshot`] extracts it,
-//! [`crate::SchedCore::restore`] rebuilds a core from it, and
-//! [`crate::SchedCore::fork`] branches a live core — the what-if
-//! primitive `cli compare --fork-at` builds on.
+//! invocations. [`crate::SchedCore::snapshot`] extracts it and
+//! [`crate::SchedCore::restore`] rebuilds a core from it, under the same
+//! or a different policy. The simulator's `EngineSnapshot` wraps it, so
+//! `cli compare --fork-at` branches a warmed-up run by engine snapshot +
+//! restore.
 //!
 //! ## Wire encoding and versioning
 //!

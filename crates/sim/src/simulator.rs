@@ -204,29 +204,15 @@ impl<'t> Simulator<'t> {
     }
 
     /// Runs the simulation to completion under the given selection policy.
-    pub fn run(self, policy: Box<dyn SelectionPolicy>) -> SimResult {
-        self.run_shared(policy)
-    }
-
-    /// Runs the full simulation without consuming the simulator, so one
-    /// prepared simulator (trace clamped once) can run many policies —
-    /// the `compare` grid and the fork drivers share it by reference.
-    pub fn run_shared(&self, policy: Box<dyn SelectionPolicy>) -> SimResult {
-        self.run_observed_shared(policy, &mut [])
+    /// Takes `&self`, so one prepared simulator (trace clamped once) can
+    /// run many policies — the `compare` grid shares it by reference.
+    pub fn run(&self, policy: Box<dyn SelectionPolicy>) -> SimResult {
+        self.run_observed(policy, &mut [])
     }
 
     /// Runs the simulation with extra [`SimObserver`]s attached alongside
     /// the result-collecting [`Recorder`].
     pub fn run_observed(
-        self,
-        policy: Box<dyn SelectionPolicy>,
-        extra: &mut [&mut dyn SimObserver],
-    ) -> SimResult {
-        self.run_observed_shared(policy, extra)
-    }
-
-    /// By-reference form of [`Simulator::run_observed`].
-    pub fn run_observed_shared(
         &self,
         policy: Box<dyn SelectionPolicy>,
         extra: &mut [&mut dyn SimObserver],

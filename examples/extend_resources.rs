@@ -10,7 +10,7 @@
 
 use bbsched::core::decision::{choose_preferred, DecisionRule};
 use bbsched::core::pools::PoolState;
-use bbsched::core::problem::{JobDemand, KnapsackMooProblem, MooProblem};
+use bbsched::core::problem::{JobDemand, KnapsackMooProblem};
 use bbsched::core::resource::ResourceModel;
 use bbsched::core::{GaConfig, MooGa};
 use bbsched::policies::{GaParams, PolicyKind, SelectionPolicy};

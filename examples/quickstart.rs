@@ -8,7 +8,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use bbsched::core::decision::{choose_preferred, DecisionRule};
-use bbsched::core::problem::{JobDemand, KnapsackMooProblem, MooProblem};
+use bbsched::core::problem::{JobDemand, KnapsackMooProblem};
 use bbsched::core::resource::ResourceModel;
 use bbsched::core::{GaConfig, MooGa};
 

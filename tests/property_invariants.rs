@@ -2,7 +2,7 @@
 //! Pareto-front laws, repair feasibility, GA-vs-exhaustive consistency,
 //! and simulator conservation on random traces.
 
-use bbsched::core::problem::{JobDemand, KnapsackMooProblem, MooProblem};
+use bbsched::core::problem::{JobDemand, KnapsackMooProblem};
 use bbsched::core::resource::ResourceModel;
 use bbsched::core::{exhaustive, pareto, Chromosome, GaConfig, MooGa};
 use bbsched::policies::{GaParams, PolicyKind};
