@@ -2,9 +2,7 @@
 
 use crate::args::Args;
 use crate::error::CliError;
-use bbsched_metrics::{
-    DistributionStats, ForkSummary, MeasurementWindow, MethodSummary, UsageKind,
-};
+use bbsched_metrics::{DistributionStats, MeasurementWindow, MethodSummary, UsageKind};
 use bbsched_policies::{GaParams, PolicyKind, SelectionPolicy};
 use bbsched_sched::durability;
 use bbsched_sim::{
@@ -56,9 +54,6 @@ COMMANDS
   compare    Run the full §4.3 roster on one workload and print the grid
              --machine cori|theta  --workload W  --jobs N  --scale F
              --gens G  --threads T  (same scheduler knobs as simulate)
-             --fork-at T [--warm-policy NAME]  warm one run to virtual
-               time T, then branch every roster policy from that snapshot
-               (what-if forking; metrics cover the continuations)
   serve      Drive the scheduler core online from a job-event stream and
              print one JSON decision per line to stdout (summary on
              stderr); optionally durable (DESIGN.md \u{a7}13)
@@ -330,19 +325,8 @@ fn cmd_simulate(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_compare(args: &Args) -> Result<(), CliError> {
-    let mut known = vec![
-        "trace",
-        "machine",
-        "jobs",
-        "seed",
-        "scale",
-        "load",
-        "workload",
-        "gens",
-        "threads",
-        "fork-at",
-        "warm-policy",
-    ];
+    let mut known =
+        vec!["trace", "machine", "jobs", "seed", "scale", "load", "workload", "gens", "threads"];
     known.extend_from_slice(SCHED_ARGS);
     args.check_known(&known)?;
     let (trace, profile) = trace_from_args(args)?;
@@ -358,105 +342,30 @@ fn cmd_compare(args: &Args) -> Result<(), CliError> {
     } else {
         PolicyKind::main_roster().to_vec()
     };
-    // With `--fork-at T`, the trace is warmed up once under the warm
-    // policy to virtual time T, and every roster entry continues from the
-    // same mid-trace snapshot (what-if forking): the grid then measures
-    // only the diverging continuations. Without it, each entry is an
-    // independent full simulation. Either way, whole-task batch jobs in
-    // roster order keep the grid byte-identical whatever the thread count.
-    let fork_at: Option<f64> = match args.get("fork-at") {
-        None => None,
-        Some(_) => {
-            let t = args.get_parsed("fork-at", 0.0f64)?;
-            if !t.is_finite() || t < 0.0 {
-                return Err(CliError::Usage("--fork-at must be a non-negative time".to_string()));
-            }
-            Some(t)
-        }
-    };
-    if args.get("warm-policy").is_some() && fork_at.is_none() {
-        return Err(CliError::Usage("--warm-policy needs --fork-at".to_string()));
-    }
+    // Each roster entry is an independent full simulation; whole-task
+    // batch jobs in roster order keep the grid byte-identical whatever the
+    // thread count.
     let sim =
         Simulator::new(&profile.system, &trace, cfg).map_err(|e| CliError::Run(e.to_string()))?;
-    let warm = match fork_at {
-        None => None,
-        Some(t) => {
-            let warm_kind = parse_policy(args.get_or("warm-policy", "Baseline"))?;
-            let warm =
-                sim.warm_until(warm_kind.build(ga), t).map_err(|e| CliError::Run(e.to_string()))?;
-            println!(
-                "forked at t={t} s after {} of {} jobs (warmed under {}); \
-                 metrics cover the continuations only",
-                warm.consumed,
-                trace.len(),
-                warm_kind.name()
-            );
-            Some(warm)
-        }
-    };
     let jobs: Vec<_> = roster
         .iter()
         .map(|&kind| {
-            let (sim, warm) = (&sim, warm.as_ref());
-            move || -> Result<SimResult, CliError> {
-                Ok(match warm {
-                    Some(w) => sim
-                        .continue_from(w, kind.build(ga))
-                        .map_err(|e| CliError::Run(e.to_string()))?,
-                    None => sim.run(kind.build(ga)),
-                })
-            }
+            let sim = &sim;
+            move || sim.run(kind.build(ga))
         })
         .collect();
-    let results: Vec<SimResult> =
-        bbsched_core::parallel::run_batch(threads, jobs).into_iter().collect::<Result<_, _>>()?;
-    match &warm {
-        // Forked grid: per-branch continuation metrics plus the wait delta
-        // against the first roster entry (the branches share their prefix,
-        // so the delta is attributable to the policy alone).
-        Some(w) => {
-            let fork = ForkSummary::from_continuations(
-                fork_at.expect("warm implies fork-at"),
-                w.consumed,
-                &results,
-                MeasurementWindow::default(),
-            );
-            let base = roster[0].name();
-            println!(
-                "{:<16} {:>9} {:>9} {:>10} {:>10} {:>12}",
-                "Method", "Node", "BB", "Avg wait", "Slowdown", "Dwait(base)"
-            );
-            for (kind, m) in roster.iter().zip(&fork.branches) {
-                let delta = fork.wait_delta(kind.name(), base).unwrap_or(0.0);
-                println!(
-                    "{:<16} {:>8.2}% {:>8.2}% {:>9.2}h {:>10.2} {:>11.2}h",
-                    kind.name(),
-                    m.node_usage() * 100.0,
-                    m.bb_usage() * 100.0,
-                    m.avg_wait / 3600.0,
-                    m.avg_slowdown,
-                    delta / 3600.0
-                );
-            }
-        }
-        None => {
-            println!(
-                "{:<16} {:>9} {:>9} {:>10} {:>10}",
-                "Method", "Node", "BB", "Avg wait", "Slowdown"
-            );
-            for (kind, result) in roster.iter().zip(&results) {
-                let m = MethodSummary::from_result(result, MeasurementWindow::default());
-                println!(
-                    "{:<16} {:>8.2}% {:>8.2}% {:>9.2}h {:>10.2}",
-                    kind.name(),
-                    m.node_usage() * 100.0,
-                    m.bb_usage() * 100.0,
-                    m.avg_wait / 3600.0,
-                    m.avg_slowdown
-                );
-            }
-        }
+    let results: Vec<SimResult> = bbsched_core::parallel::run_batch(threads, jobs);
+    println!("{:<16} {:>9} {:>9} {:>10} {:>10}", "Method", "Node", "BB", "Avg wait", "Slowdown");
+    for (kind, result) in roster.iter().zip(&results) {
+        let m = MethodSummary::from_result(result, MeasurementWindow::default());
+        println!(
+            "{:<16} {:>8.2}% {:>8.2}% {:>9.2}h {:>10.2}",
+            kind.name(),
+            m.node_usage() * 100.0,
+            m.bb_usage() * 100.0,
+            m.avg_wait / 3600.0,
+            m.avg_slowdown
+        );
     }
     Ok(())
 }
@@ -764,35 +673,6 @@ mod tests {
         ])
         .unwrap();
         run(&args).unwrap();
-    }
-
-    #[test]
-    fn compare_forks_mid_trace() {
-        let args = Args::parse([
-            "compare",
-            "--machine",
-            "theta",
-            "--jobs",
-            "40",
-            "--scale",
-            "0.02",
-            "--gens",
-            "20",
-            "--threads",
-            "2",
-            "--fork-at",
-            "5000",
-        ])
-        .unwrap();
-        run(&args).unwrap();
-
-        // --warm-policy without --fork-at, and bad fork times, are usage
-        // errors.
-        let args =
-            Args::parse(["compare", "--machine", "theta", "--warm-policy", "Baseline"]).unwrap();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
-        let args = Args::parse(["compare", "--machine", "theta", "--fork-at", "-3"]).unwrap();
-        assert!(matches!(run(&args), Err(CliError::Usage(_))));
     }
 
     #[test]

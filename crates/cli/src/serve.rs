@@ -18,9 +18,9 @@
 //!   tail replay, then the live stream continues (the first
 //!   already-journaled lines of `--events` are skipped);
 //! * `{"type":"set-policy","name":…}` — live policy hot-swap: the
-//!   daemon snapshots, restores under the new policy (the PR 7 what-if
-//!   primitive), and journals the control line so recovery replays the
-//!   swap deterministically;
+//!   daemon snapshots, restores under the new policy (`SchedCore::restore`
+//!   injects policy state only when the name matches), and journals the
+//!   control line so recovery replays the swap deterministically;
 //! * SIGTERM — graceful drain: a final snapshot at the exact consumed
 //!   position, no final flush, exit 0. A `--recover` restart then owns
 //!   every remaining decision, so the concatenated decision streams of

@@ -20,6 +20,16 @@ fn unknown_command_exits_2() {
 fn unknown_option_exits_2() {
     let out = bbsched(&["stats", "--trase", "x"]);
     assert_eq!(out.status.code(), Some(2));
+    // compare's what-if forking is gone: its options are plain typos now.
+    for (args, option) in [
+        (["compare", "--machine", "theta", "--fork-at", "5000"], "--fork-at"),
+        (["compare", "--machine", "theta", "--warm-policy", "Baseline"], "--warm-policy"),
+    ] {
+        let out = bbsched(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown option {option}")), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -37,9 +37,10 @@ impl std::error::Error for WindowTooLarge {}
 ///
 /// Infeasible selections are skipped; feasible ones are folded into a
 /// [`ParetoFront`]. Insertion order is ascending bitmask, so among equal
-/// objective vectors the front retains the selection whose jobs sit closest
-/// to the window rear — callers that care about the §3.2.4 tie-break should
-/// use [`crate::decision::choose_preferred`], which re-applies it.
+/// objective vectors the front retains the lowest-mask selection
+/// ([`ParetoFront::insert`] keeps the first inserted);
+/// [`crate::decision::choose_preferred`] applies the §3.2.4 tie-break only
+/// among the solutions the front kept.
 pub fn solve(problem: &KnapsackMooProblem) -> Result<ParetoFront, WindowTooLarge> {
     let w = problem.len();
     if w > MAX_EXHAUSTIVE_WINDOW {

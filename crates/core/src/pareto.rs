@@ -36,10 +36,10 @@ pub struct Solution {
 
 /// A set of mutually non-dominated solutions.
 ///
-/// The front deduplicates identical objective vectors, keeping the solution
-/// the decision maker would prefer (selected jobs closest to the window
-/// front), so downstream trade-off analysis sees one representative per
-/// objective point.
+/// The front deduplicates identical objective vectors, keeping the first
+/// solution inserted with that vector (see [`ParetoFront::insert`]), so
+/// downstream trade-off analysis sees one representative per objective
+/// point.
 #[derive(Clone, Debug, Default)]
 pub struct ParetoFront {
     solutions: Vec<Solution>,
@@ -65,14 +65,20 @@ impl ParetoFront {
 
     /// Attempts to add a solution. Returns `true` if it joined the front
     /// (it was not dominated); dominated members are evicted.
+    ///
+    /// A solution whose objective vector equals a member's is rejected:
+    /// the first one inserted wins, whatever its chromosome. That is
+    /// population order in the GA and ascending mask order in
+    /// [`crate::exhaustive::solve`];
+    /// [`crate::decision::choose_preferred`]'s §3.2.4 front-of-window
+    /// tie-break ranks only the solutions the front kept.
     pub fn insert(&mut self, s: Solution) -> bool {
         for existing in &self.solutions {
             if dominates(existing.objectives.as_slice(), s.objectives.as_slice()) {
                 return false;
             }
             if existing.objectives.as_slice() == s.objectives.as_slice() {
-                // Duplicate objective point: keep the front-of-window
-                // representative (decision-maker tie-break, §3.2.4).
+                // Duplicate objective point: the first inserted stays.
                 return false;
             }
         }
@@ -172,12 +178,18 @@ mod tests {
         assert_eq!(f.solutions()[0].objectives.as_slice(), &[60.0, 60.0]);
     }
 
+    /// Equal objective vectors keep the first inserted, in either order.
     #[test]
     fn front_dedups_equal_points() {
-        let mut f = ParetoFront::new();
-        f.insert(sol(&[true, false], &[10.0, 10.0]));
-        assert!(!f.insert(sol(&[false, true], &[10.0, 10.0])));
-        assert_eq!(f.len(), 1);
+        let front_job = [true, false];
+        let rear_job = [false, true];
+        for (first, second) in [(front_job, rear_job), (rear_job, front_job)] {
+            let mut f = ParetoFront::new();
+            assert!(f.insert(sol(&first, &[10.0, 10.0])));
+            assert!(!f.insert(sol(&second, &[10.0, 10.0])));
+            assert_eq!(f.len(), 1);
+            assert_eq!(f.solutions()[0].chromosome, Chromosome::from_bits(&first));
+        }
     }
 
     #[test]

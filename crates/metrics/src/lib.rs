@@ -32,5 +32,5 @@ pub use breakdown::{bins_from_edges, breakdown_by, Bin};
 pub use kiviat::{kiviat_area, normalize_axes, safe_reciprocal};
 pub use live::{LiveStatsLines, LiveSummary, LiveTally, StatsLine};
 pub use stats::{jains_fairness, percentile, DistributionStats};
-pub use summary::{ForkSummary, MeasurementWindow, MethodSummary, ResourceSummary};
+pub use summary::{MeasurementWindow, MethodSummary, ResourceSummary};
 pub use usage::{resource_usage, UsageKind};

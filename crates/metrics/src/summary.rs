@@ -175,53 +175,6 @@ impl MethodSummary {
     }
 }
 
-/// Summary of a what-if fork (DESIGN.md §12): one warmed-up run prefix
-/// branched into per-policy continuations. Every branch is summarized
-/// over the same measurement window; since all branches share the exact
-/// pre-fork state, any metric difference is attributable to the policy
-/// alone.
-///
-/// Branch records cover the continuation segment only — jobs started
-/// before the fork live in the shared prefix and are identical across
-/// branches, so they are excluded rather than double-counted.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ForkSummary {
-    /// Virtual time of the fork point.
-    pub fork_at: f64,
-    /// Trace jobs already submitted into the shared prefix.
-    pub prefix_jobs: usize,
-    /// Per-branch summaries, in input order.
-    pub branches: Vec<MethodSummary>,
-}
-
-impl ForkSummary {
-    /// Summarizes each continuation result over `window`.
-    pub fn from_continuations(
-        fork_at: f64,
-        prefix_jobs: usize,
-        results: &[SimResult],
-        window: MeasurementWindow,
-    ) -> Self {
-        Self {
-            fork_at,
-            prefix_jobs,
-            branches: results.iter().map(|r| MethodSummary::from_result(r, window)).collect(),
-        }
-    }
-
-    /// The branch run under the named policy, if present.
-    pub fn branch(&self, policy: &str) -> Option<&MethodSummary> {
-        self.branches.iter().find(|b| b.policy == policy)
-    }
-
-    /// Average-wait difference of `policy` against `baseline`, in seconds
-    /// (negative means `policy` waited less). `None` if either branch is
-    /// missing.
-    pub fn wait_delta(&self, policy: &str, baseline: &str) -> Option<f64> {
-        Some(self.branch(policy)?.avg_wait - self.branch(baseline)?.avg_wait)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,23 +259,6 @@ mod tests {
         assert_eq!(s.measured_jobs, 0);
         assert_eq!(s.avg_wait, 0.0);
         assert_eq!(s.avg_slowdown, 0.0);
-    }
-
-    #[test]
-    fn fork_summary_compares_branches_against_a_baseline() {
-        let mut slow = result(vec![rec(5, 400.0, 460.0, 100.0, 4), rec(6, 500.0, 580.0, 100.0, 4)]);
-        slow.policy = "Baseline".into();
-        let mut fast = result(vec![rec(5, 400.0, 410.0, 100.0, 4), rec(6, 500.0, 530.0, 100.0, 4)]);
-        fast.policy = "BBSched".into();
-        let fork =
-            ForkSummary::from_continuations(400.0, 5, &[slow, fast], MeasurementWindow::full());
-        assert_eq!(fork.fork_at, 400.0);
-        assert_eq!(fork.prefix_jobs, 5);
-        assert_eq!(fork.branches.len(), 2);
-        assert_eq!(fork.branch("Baseline").unwrap().avg_wait, 70.0);
-        assert_eq!(fork.branch("BBSched").unwrap().avg_wait, 20.0);
-        assert_eq!(fork.wait_delta("BBSched", "Baseline"), Some(-50.0));
-        assert_eq!(fork.wait_delta("Nope", "Baseline"), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Durable checkpointing: a write-ahead event journal and rolling
 //! snapshots.
 //!
-//! PR 7 made every driver's state explicit ([`crate::CoreSnapshot`],
-//! [`crate::ReplaySnapshot`], the engine snapshot); this module makes
-//! that state *durable*. Two pieces compose (DESIGN.md §13):
+//! The online driver's state is explicit ([`crate::CoreSnapshot`]
+//! wrapped in [`crate::ReplaySnapshot`]); this module makes that state
+//! *durable*. Two pieces compose (DESIGN.md §13):
 //!
 //! * [`Journal`] — an append-only write-ahead log of wire lines
 //!   (fsync'd per [`Journal::sync`]). The on-disk format is a magic
@@ -767,8 +767,6 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SchedError> {
     } else if map_get(top, "replay").is_some() {
         // Written by `cli replay --checkpoint` in earlier builds.
         "replay checkpoint"
-    } else if map_get(top, "finish_events").is_some() {
-        "engine snapshot"
     } else if map_get(top, "events_fed").is_some() {
         "replay snapshot"
     } else if map_get(top, "schema_version").is_some() {

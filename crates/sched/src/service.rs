@@ -561,10 +561,11 @@ impl<'o> SchedCore<'o> {
     /// The policy and observers are supplied fresh: observers are
     /// driver-owned borrows a snapshot cannot capture, and the policy is
     /// a trait object the caller rebuilds (or *replaces* — restoring
-    /// under a different policy is the what-if fork primitive). Policy
-    /// state recorded in the snapshot is injected only when the supplied
-    /// policy has the same name; a same-name policy that rejects the
-    /// state makes the snapshot [`SchedError::CorruptSnapshot`].
+    /// under a different policy is how `serve`'s `set-policy` swaps
+    /// policy). Policy state recorded in the snapshot is injected only
+    /// when the supplied policy has the same name; a same-name policy
+    /// that rejects the state makes the snapshot
+    /// [`SchedError::CorruptSnapshot`].
     ///
     /// Every structural invariant of the snapshot is validated up front —
     /// schema version, config, id uniqueness, queue/ledger consistency —

@@ -14,9 +14,9 @@
 //! value: the *complete* cross-invocation state of a core between two
 //! invocations. [`crate::SchedCore::snapshot`] extracts it and
 //! [`crate::SchedCore::restore`] rebuilds a core from it, under the same
-//! or a different policy. The simulator's `EngineSnapshot` wraps it, so
-//! `cli compare --fork-at` branches a warmed-up run by engine snapshot +
-//! restore.
+//! or a different policy. The online replay driver's
+//! [`crate::ReplaySnapshot`] wraps it; it is the one state a driver
+//! resumes from (the daemon's recovery and its `set-policy` swap).
 //!
 //! ## Wire encoding and versioning
 //!

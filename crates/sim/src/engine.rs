@@ -27,9 +27,8 @@
 use crate::simulator::SimConfig;
 use bbsched_core::problem::JobDemand;
 use bbsched_policies::SelectionPolicy;
-use bbsched_sched::{CoreSnapshot, Decision, SchedCore, SchedError, SchedObserver};
+use bbsched_sched::{Decision, SchedCore, SchedObserver};
 use bbsched_workloads::{Job, SystemConfig};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -80,34 +79,8 @@ pub struct EngineSummary {
     pub jobs: usize,
 }
 
-/// The engine's explicit owned state between instants: the core's
-/// versioned [`CoreSnapshot`] plus the driver-side remainder — the
-/// completion-event heap, the event sequence counter, and the arrival /
-/// makespan watermarks. Serde-derived; rides the same versioned JSON
-/// contract as the core snapshot (DESIGN.md §12).
-///
-/// A snapshot captures the engine *between instants* only; `last_submit`
-/// is `None` before the first arrival (the in-memory sentinel is
-/// `f64::NEG_INFINITY`, which JSON cannot carry).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EngineSnapshot {
-    /// The scheduler core's versioned state.
-    pub core: CoreSnapshot,
-    /// Pending completion events as `(time, seq, job index)`, soonest
-    /// first.
-    pub finish_events: Vec<(f64, u64, usize)>,
-    /// Next completion-event sequence number.
-    pub seq: u64,
-    /// Latest arrival submit time seen (`None` before the first arrival).
-    pub last_submit: Option<f64>,
-    /// Latest completion time seen.
-    pub makespan: f64,
-}
-
 /// The discrete-event scheduling driver. Construct with [`Engine::new`],
-/// drive with [`Engine::run`] — or drive partway with
-/// [`Engine::run_until`], capture an [`EngineSnapshot`], and continue in
-/// a rebuilt engine (same or different policy) via [`Engine::restore`].
+/// drive with [`Engine::run`].
 pub struct Engine<'o> {
     core: SchedCore<'o>,
     events: BinaryHeap<Reverse<Event>>,
@@ -141,72 +114,6 @@ impl<'o> Engine<'o> {
         })
     }
 
-    /// Captures the engine's complete state between instants. Restoring
-    /// the snapshot (under the same policy) and continuing yields the
-    /// byte-identical decision stream of the uninterrupted run; observers
-    /// are not part of the state and must be re-attached on restore.
-    pub fn snapshot(&self) -> EngineSnapshot {
-        let mut finish_events: Vec<(f64, u64, usize)> =
-            self.events.iter().map(|&Reverse(e)| (e.time, e.seq, e.idx)).collect();
-        finish_events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        EngineSnapshot {
-            core: self.core.snapshot(),
-            finish_events,
-            seq: self.seq,
-            last_submit: if self.last_submit.is_finite() { Some(self.last_submit) } else { None },
-            makespan: self.makespan,
-        }
-    }
-
-    /// Rebuilds an engine from a snapshot, with a fresh policy object and
-    /// freshly attached observers. Policy state stored in the snapshot is
-    /// injected only when `policy` has the same name as the snapshotted
-    /// one (a different policy starts fresh — what-if forking). Corrupt
-    /// snapshots fail with a typed [`crate::SimError`], never a panic.
-    pub fn restore(
-        snapshot: EngineSnapshot,
-        policy: Box<dyn SelectionPolicy>,
-        observers: Vec<&'o mut dyn SchedObserver>,
-    ) -> Result<Self, crate::SimError> {
-        if let Some(t) = snapshot.last_submit {
-            if !t.is_finite() {
-                return Err(SchedError::CorruptSnapshot(format!(
-                    "non-finite last_submit {t} in engine snapshot"
-                )));
-            }
-        }
-        let core = SchedCore::restore(snapshot.core, policy, observers)?;
-        let jobs = core.jobs_submitted();
-        let mut events = BinaryHeap::with_capacity(snapshot.finish_events.len());
-        for &(time, seq, idx) in &snapshot.finish_events {
-            if !time.is_finite() {
-                return Err(SchedError::CorruptSnapshot(format!(
-                    "non-finite completion time for event {seq}"
-                )));
-            }
-            if idx >= jobs {
-                return Err(SchedError::CorruptSnapshot(format!(
-                    "completion event references job index {idx}, but only {jobs} jobs submitted"
-                )));
-            }
-            if seq >= snapshot.seq {
-                return Err(SchedError::CorruptSnapshot(format!(
-                    "completion event sequence {seq} not below the next sequence {}",
-                    snapshot.seq
-                )));
-            }
-            events.push(Reverse(Event { time, seq, idx }));
-        }
-        Ok(Self {
-            core,
-            events,
-            seq: snapshot.seq,
-            started: Vec::new(),
-            last_submit: snapshot.last_submit.unwrap_or(f64::NEG_INFINITY),
-            makespan: snapshot.makespan,
-        })
-    }
-
     /// Runs the simulation to completion: consumes `arrivals` (which MUST
     /// be sorted by submit time — [`bbsched_workloads::Trace`] guarantees
     /// this; streaming sources must too) and drains every completion.
@@ -216,29 +123,6 @@ impl<'o> Engine<'o> {
     /// ledger) on any resource-conservation violation.
     pub fn run(mut self, arrivals: impl IntoIterator<Item = Arrival>) -> EngineSummary {
         let mut arrivals = arrivals.into_iter().peekable();
-        self.drive(&mut arrivals, f64::INFINITY);
-        self.finish()
-    }
-
-    /// Processes every instant up to and including `stop`, then returns
-    /// with the engine paused between instants — the valid boundary for
-    /// [`Engine::snapshot`]. Arrivals after `stop` are left in the
-    /// iterator; pass the same iterator (or the remaining tail) to the
-    /// continuing engine's [`Engine::run`].
-    pub fn run_until(
-        &mut self,
-        arrivals: &mut std::iter::Peekable<impl Iterator<Item = Arrival>>,
-        stop: f64,
-    ) {
-        self.drive(arrivals, stop);
-    }
-
-    /// The merged event loop: processes instants while `now <= stop`.
-    fn drive(
-        &mut self,
-        arrivals: &mut std::iter::Peekable<impl Iterator<Item = Arrival>>,
-        stop: f64,
-    ) {
         loop {
             // The next instant is the earlier of the next arrival and the
             // next completion; the batch drain makes within-instant order
@@ -251,9 +135,6 @@ impl<'o> Engine<'o> {
                 (None, Some(f)) => f,
                 (Some(a), Some(f)) => a.min(f),
             };
-            if now > stop {
-                break;
-            }
 
             // Admit every arrival at this instant.
             while arrivals.peek().is_some_and(|a| a.job.submit <= now) {
@@ -291,6 +172,7 @@ impl<'o> Engine<'o> {
                 self.seq += 1;
             }
         }
+        self.finish()
     }
 
     /// Declares the event stream over: checks the drain invariants, fires
@@ -376,92 +258,6 @@ mod tests {
         assert_eq!(result.invocations, summary.invocations);
         assert_eq!(result.makespan, summary.makespan);
         assert_eq!(result.records.len(), summary.jobs);
-    }
-
-    /// Cutting the run at an instant boundary, snapshotting through JSON,
-    /// restoring in a fresh engine, and draining the rest must reproduce
-    /// the uninterrupted run's decision stream byte for byte — at every
-    /// arrival instant of the trace.
-    #[test]
-    fn snapshot_restore_continues_byte_identically_at_every_arrival() {
-        use bbsched_sched::DecisionLog;
-        let sys = system(4);
-        let arrivals: Vec<Arrival> = (0..20u64)
-            .map(|i| arrival(i, i as f64 * 3.0, 1 + (i % 3) as u32, 25.0 + (i % 4) as f64 * 10.0))
-            .collect();
-
-        let mut full_log = DecisionLog::new();
-        let engine =
-            Engine::new(&sys, SimConfig::default(), policy(), vec![&mut full_log]).unwrap();
-        let full_summary = engine.run(arrivals.clone());
-        let full = full_log.into_lines();
-
-        for cut in arrivals.iter().map(|a| a.job.submit) {
-            let mut head_log = DecisionLog::new();
-            let mut engine =
-                Engine::new(&sys, SimConfig::default(), policy(), vec![&mut head_log]).unwrap();
-            let mut stream = arrivals.clone().into_iter().peekable();
-            engine.run_until(&mut stream, cut);
-            let json = serde_json::to_string(&engine.snapshot()).unwrap();
-            drop(engine);
-
-            let snap: EngineSnapshot = serde_json::from_str(&json).unwrap();
-            let mut tail_log = DecisionLog::new();
-            let resumed = Engine::restore(snap, policy(), vec![&mut tail_log]).unwrap();
-            let summary = resumed.run(stream);
-            assert_eq!(summary.makespan, full_summary.makespan, "cut at {cut}");
-            assert_eq!(summary.jobs, full_summary.jobs, "cut at {cut}");
-
-            let mut combined = head_log.into_lines();
-            combined.extend(tail_log.into_lines());
-            assert_eq!(combined, full, "decision stream diverges when cut at t={cut}");
-        }
-    }
-
-    /// A snapshot is a fixed point of restore: restoring it and
-    /// snapshotting again yields the identical value (and identical JSON).
-    #[test]
-    fn engine_snapshot_is_a_fixed_point_of_restore() {
-        let sys = system(4);
-        let arrivals: Vec<Arrival> = (0..10u64).map(|i| arrival(i, i as f64, 2, 15.0)).collect();
-        let mut engine = Engine::new(&sys, SimConfig::default(), policy(), vec![]).unwrap();
-        let mut stream = arrivals.into_iter().peekable();
-        engine.run_until(&mut stream, 4.0);
-        let snap = engine.snapshot();
-        let resumed = Engine::restore(snap.clone(), policy(), vec![]).unwrap();
-        assert_eq!(resumed.snapshot(), snap);
-        assert_eq!(
-            serde_json::to_string(&resumed.snapshot()).unwrap(),
-            serde_json::to_string(&snap).unwrap()
-        );
-    }
-
-    /// Corrupt engine snapshots fail restore with a typed error.
-    #[test]
-    fn corrupt_engine_snapshots_fail_restore_typed() {
-        use bbsched_sched::SchedError;
-        let sys = system(4);
-        let arrivals: Vec<Arrival> = (0..6u64).map(|i| arrival(i, i as f64, 2, 30.0)).collect();
-        let mut engine = Engine::new(&sys, SimConfig::default(), policy(), vec![]).unwrap();
-        let mut stream = arrivals.into_iter().peekable();
-        engine.run_until(&mut stream, 3.0);
-        let good = engine.snapshot();
-
-        let mut bad = good.clone();
-        bad.finish_events[0].2 = 999; // job index out of range
-        assert!(matches!(
-            Engine::restore(bad, policy(), vec![]).map(|_| ()),
-            Err(SchedError::CorruptSnapshot(_))
-        ));
-
-        let mut bad = good.clone();
-        bad.seq = 0; // events must have seq below the next sequence
-        assert!(matches!(
-            Engine::restore(bad, policy(), vec![]).map(|_| ()),
-            Err(SchedError::CorruptSnapshot(_))
-        ));
-
-        assert!(Engine::restore(good, policy(), vec![]).is_ok());
     }
 
     #[test]

@@ -59,8 +59,8 @@
 pub mod engine;
 pub mod simulator;
 
-pub use engine::{Arrival, Engine, EngineSnapshot, EngineSummary};
-pub use simulator::{SimConfig, Simulator, WarmStart};
+pub use engine::{Arrival, Engine, EngineSummary};
+pub use simulator::{SimConfig, Simulator};
 
 // The scheduling machinery moved to the service core; re-export it under
 // the names this crate always had so simulator clients keep compiling.

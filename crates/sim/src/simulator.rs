@@ -10,7 +10,7 @@
 //! attached and returns the classic [`SimResult`]. Additional observers
 //! ride along via [`Simulator::run_observed`].
 
-use crate::engine::{Arrival, Engine, EngineSnapshot};
+use crate::engine::{Arrival, Engine};
 use crate::{Recorder, SimError, SimObserver, SimResult};
 use bbsched_core::problem::JobDemand;
 use bbsched_core::window::WindowConfig;
@@ -19,7 +19,6 @@ use bbsched_sched::{
     clamp_demand, BackfillAlgorithm, BackfillScope, BaseScheduler, DynamicWindow, SchedConfig,
 };
 use bbsched_workloads::{SystemConfig, Trace};
-use serde::{Deserialize, Serialize};
 
 /// Simulator configuration: the core's [`SchedConfig`] knobs plus the
 /// simulator-only `clamp_impossible` trace-intake policy.
@@ -157,52 +156,6 @@ impl<'t> Simulator<'t> {
             .map(|(job, demand)| Arrival { job, demand })
     }
 
-    /// Runs the simulation under `policy` up to and including virtual time
-    /// `t_fork` and captures the engine state there: the warmed-up common
-    /// prefix that [`Simulator::continue_from`] branches into per-policy
-    /// continuations (what-if forking, DESIGN.md §12). The warm segment
-    /// runs unobserved; each continuation collects its own records.
-    pub fn warm_until(
-        &self,
-        policy: Box<dyn SelectionPolicy>,
-        t_fork: f64,
-    ) -> Result<WarmStart, SimError> {
-        let mut engine = Engine::new(&self.system, self.cfg.clone(), policy, vec![])
-            .expect("configuration validated at construction");
-        let mut arrivals = self.arrivals().peekable();
-        engine.run_until(&mut arrivals, t_fork);
-        let snapshot = engine.snapshot();
-        let consumed = self.trace.len() - arrivals.count();
-        Ok(WarmStart { snapshot, consumed })
-    }
-
-    /// Branches a continuation off a [`WarmStart`]: rebuilds the engine
-    /// from the fork-point snapshot under `policy` (same name → the
-    /// snapshotted policy state carries over; different name → the new
-    /// policy starts fresh) and drains the rest of the trace. The result
-    /// covers the continuation segment only — records of jobs started
-    /// before the fork live in the shared prefix, not here.
-    pub fn continue_from(
-        &self,
-        warm: &WarmStart,
-        policy: Box<dyn SelectionPolicy>,
-    ) -> Result<SimResult, SimError> {
-        let policy_name = policy.name().to_string();
-        let mut recorder = Recorder::new();
-        {
-            let observers: Vec<&mut dyn SimObserver> = vec![&mut recorder];
-            let engine = Engine::restore(warm.snapshot.clone(), policy, observers)?;
-            let summary = engine.run(self.arrivals().skip(warm.consumed));
-            debug_assert_eq!(summary.jobs, self.trace.len(), "every job must run exactly once");
-        }
-        Ok(recorder.into_result(
-            policy_name,
-            self.cfg.base.name().to_string(),
-            self.system.clone(),
-            self.clamped,
-        ))
-    }
-
     /// Runs the simulation to completion under the given selection policy.
     /// Takes `&self`, so one prepared simulator (trace clamped once) can
     /// run many policies — the `compare` grid shares it by reference.
@@ -237,19 +190,6 @@ impl<'t> Simulator<'t> {
             self.clamped,
         )
     }
-}
-
-/// A warmed-up mid-trace state: the [`EngineSnapshot`] at the fork
-/// instant plus how many leading trace jobs are already inside it.
-/// Produced by [`Simulator::warm_until`], consumed (any number of times,
-/// under any policies) by [`Simulator::continue_from`]. Serde-derived, so
-/// a warm start can be checkpointed to disk like any other snapshot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WarmStart {
-    /// Engine state at the fork point.
-    pub snapshot: EngineSnapshot,
-    /// Leading trace jobs already submitted into the snapshot.
-    pub consumed: usize,
 }
 
 #[cfg(test)]
@@ -581,51 +521,6 @@ mod tests {
         // arrival.
         for (a, b) in easy.records.iter().zip(&cons.records) {
             assert_eq!(a.start, b.start);
-        }
-    }
-
-    /// Continuing from a warm start under the *same* policy reproduces
-    /// the uninterrupted run's post-fork records exactly; continuing
-    /// under *different* policies yields per-policy what-if branches that
-    /// all drain the trace.
-    #[test]
-    fn warm_start_forks_into_per_policy_continuations() {
-        let sys = system(16, 20.0);
-        let jobs: Vec<Job> = (0..40)
-            .map(|i| {
-                Job::new(i, i as f64 * 4.0, 1 + (i % 8) as u32, 50.0 + (i % 5) as f64 * 20.0, 300.0)
-                    .with_bb(if i % 4 == 0 { 3_000.0 } else { 0.0 })
-            })
-            .collect();
-        let trace = Trace::from_jobs(jobs).unwrap();
-        let sim = Simulator::new(&sys, &trace, SimConfig::default()).unwrap();
-        let ga = GaParams { generations: 40, ..GaParams::default() };
-        let build = |k: PolicyKind| k.build(ga);
-
-        let t_fork = 80.0;
-        let warm = sim.warm_until(build(PolicyKind::Baseline), t_fork).unwrap();
-        assert!(warm.consumed > 0 && warm.consumed < trace.len(), "fork lands mid-trace");
-
-        // Same policy: post-fork records must match the uninterrupted run.
-        let full = Simulator::new(&sys, &trace, SimConfig::default())
-            .unwrap()
-            .run(build(PolicyKind::Baseline));
-        let cont = sim.continue_from(&warm, build(PolicyKind::Baseline)).unwrap();
-        let full_tail: Vec<_> = full.records.iter().filter(|r| r.start > t_fork).collect();
-        let cont_records: Vec<_> = cont.records.iter().collect();
-        assert_eq!(cont_records, full_tail, "same-policy continuation must match the full run");
-
-        // Different policies: each branch drains the remaining jobs.
-        for kind in [PolicyKind::BbSched, PolicyKind::BinPacking] {
-            let branch = sim.continue_from(&warm, build(kind)).unwrap();
-            assert_eq!(branch.policy, kind.name());
-            let started_pre_fork = trace.len() - full_tail.len();
-            assert_eq!(
-                branch.records.len() + started_pre_fork,
-                trace.len(),
-                "{} branch must start every remaining job",
-                kind.name()
-            );
         }
     }
 

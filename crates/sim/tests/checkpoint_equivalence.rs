@@ -1,24 +1,18 @@
-//! Checkpoint-equivalence golden suite (DESIGN.md §12): interrupting a
-//! run at **every** invocation boundary, round-tripping the snapshot
-//! through its JSON wire encoding, and continuing in a freshly restored
-//! driver must reproduce the uninterrupted run's decision stream byte
-//! for byte — zero diffs, for both drivers of the service core:
-//!
-//! * the discrete-event simulator ([`Engine::run_until`] /
-//!   [`Engine::snapshot`] / [`Engine::restore`]), cut at every event
-//!   instant of the trace;
-//! * the online replay driver ([`Replayer::snapshot`] /
-//!   [`Replayer::restore`]), cut after every event of the equivalent
-//!   wire stream (including cuts inside a same-instant batch).
+//! Checkpoint-equivalence golden suite (DESIGN.md §12): interrupting
+//! the online replay driver after **every** event of the wire stream
+//! (including cuts inside a same-instant batch), round-tripping its
+//! snapshot ([`Replayer::snapshot`]) through the JSON wire encoding, and
+//! continuing in a freshly restored driver ([`Replayer::restore`]) must
+//! reproduce the uninterrupted run's decision stream byte for byte —
+//! zero diffs. This is the guarantee the daemon's crash recovery rests
+//! on.
 //!
 //! Cases cover a Cori-like trace (FCFS base) and a Theta-like trace
 //! (WFP base), each under EASY and conservative backfilling.
 
 use bbsched_policies::{GaParams, PolicyKind};
 use bbsched_sched::{DecisionLog, JobEvent, ReplaySnapshot, Replayer, SchedObserver};
-use bbsched_sim::{
-    Arrival, BackfillAlgorithm, BaseScheduler, Engine, EngineSnapshot, SimConfig, Simulator,
-};
+use bbsched_sim::{BackfillAlgorithm, BaseScheduler, SimConfig, Simulator};
 use bbsched_workloads::{generate, GeneratorConfig, MachineProfile, Trace};
 
 fn make_trace(profile: &MachineProfile, n_jobs: usize) -> Trace {
@@ -26,89 +20,6 @@ fn make_trace(profile: &MachineProfile, n_jobs: usize) -> Trace {
         profile,
         &GeneratorConfig { n_jobs, seed: 23, load_factor: 1.5, ..GeneratorConfig::default() },
     )
-}
-
-fn arrivals_of(profile: &MachineProfile, trace: &Trace, cfg: &SimConfig) -> Vec<Arrival> {
-    let sim = Simulator::new(&profile.system, trace, cfg.clone()).expect("valid test config");
-    trace
-        .jobs()
-        .iter()
-        .cloned()
-        .zip(sim.demands().iter().copied())
-        .map(|(job, demand)| Arrival { job, demand })
-        .collect()
-}
-
-/// Simulator driver: cut at every event instant (arrivals and simulated
-/// completions — every instant at which an invocation runs).
-fn check_engine_cuts(
-    profile: &MachineProfile,
-    base: BaseScheduler,
-    algorithm: BackfillAlgorithm,
-    n_jobs: usize,
-) {
-    let trace = make_trace(profile, n_jobs);
-    let cfg = SimConfig { base, backfill_algorithm: algorithm, ..SimConfig::default() };
-    let ga = GaParams { generations: 15, ..GaParams::default() };
-    let policy = || PolicyKind::Baseline.build(ga);
-    let arrivals = arrivals_of(profile, &trace, &cfg);
-
-    let mut full_log = DecisionLog::new();
-    let full_result = {
-        let engine = Engine::new(&profile.system, cfg.clone(), policy(), vec![&mut full_log])
-            .expect("valid test config");
-        engine.run(arrivals.clone())
-    };
-    let full = full_log.into_lines();
-    assert_eq!(full_result.jobs, n_jobs);
-
-    // Every invocation boundary: each arrival instant and each completion
-    // instant of the uninterrupted schedule.
-    let mut instants: Vec<f64> = arrivals.iter().map(|a| a.job.submit).collect();
-    instants.extend(decision_instants(&full));
-    instants.sort_by(f64::total_cmp);
-    instants.dedup();
-
-    for &cut in &instants {
-        let mut head_log = DecisionLog::new();
-        let mut engine = Engine::new(&profile.system, cfg.clone(), policy(), vec![&mut head_log])
-            .expect("valid test config");
-        let mut stream = arrivals.clone().into_iter().peekable();
-        engine.run_until(&mut stream, cut);
-        let json = serde_json::to_string(&engine.snapshot()).expect("snapshot serializes");
-        drop(engine);
-
-        let snap: EngineSnapshot = serde_json::from_str(&json).expect("snapshot decodes");
-        let mut tail_log = DecisionLog::new();
-        let resumed =
-            Engine::restore(snap, policy(), vec![&mut tail_log]).expect("snapshot restores");
-        let summary = resumed.run(stream);
-        assert_eq!(summary.makespan, full_result.makespan, "cut at t={cut}");
-
-        let mut combined = head_log.into_lines();
-        combined.extend(tail_log.into_lines());
-        assert_eq!(
-            combined, full,
-            "{base:?}/{algorithm:?}: decision stream diverges when cut at t={cut}"
-        );
-    }
-}
-
-/// Extracts the `"t"` timestamp of every decision line: together with
-/// the arrival instants these cover every invocation boundary at which
-/// the schedule changed, so cutting at each one exercises snapshots of
-/// every distinct mid-run state.
-fn decision_instants(lines: &[String]) -> Vec<f64> {
-    lines
-        .iter()
-        .filter_map(|l| {
-            let key = "\"t\":";
-            let at = l.find(key)? + key.len();
-            let rest = &l[at..];
-            let end = rest.find([',', '}'])?;
-            rest[..end].trim().parse::<f64>().ok()
-        })
-        .collect()
 }
 
 /// Replay driver: cut after every wire event, resume in a fresh replayer
@@ -183,46 +94,6 @@ fn check_replay_cuts(
             "{base:?}/{algorithm:?}: replay stream diverges when cut at event {cut}"
         );
     }
-}
-
-#[test]
-fn cori_fcfs_easy_engine_cuts_are_byte_identical() {
-    check_engine_cuts(
-        &MachineProfile::cori().scaled(0.03),
-        BaseScheduler::Fcfs,
-        BackfillAlgorithm::Easy,
-        60,
-    );
-}
-
-#[test]
-fn cori_fcfs_conservative_engine_cuts_are_byte_identical() {
-    check_engine_cuts(
-        &MachineProfile::cori().scaled(0.03),
-        BaseScheduler::Fcfs,
-        BackfillAlgorithm::Conservative,
-        60,
-    );
-}
-
-#[test]
-fn theta_wfp_easy_engine_cuts_are_byte_identical() {
-    check_engine_cuts(
-        &MachineProfile::theta().scaled(0.03),
-        BaseScheduler::Wfp,
-        BackfillAlgorithm::Easy,
-        60,
-    );
-}
-
-#[test]
-fn theta_wfp_conservative_engine_cuts_are_byte_identical() {
-    check_engine_cuts(
-        &MachineProfile::theta().scaled(0.03),
-        BaseScheduler::Wfp,
-        BackfillAlgorithm::Conservative,
-        60,
-    );
 }
 
 #[test]
