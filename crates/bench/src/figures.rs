@@ -53,23 +53,6 @@ where
     }
 }
 
-/// Collects the full grid of summaries for a machine (policy-major order),
-/// simulating the cells through the parallel sweep driver.
-pub fn machine_grid(machine: Machine, scale: &Scale) -> Vec<(PolicyKind, Vec<MethodSummary>)> {
-    let cells: Vec<GridCell> = PolicyKind::main_roster()
-        .into_iter()
-        .flat_map(|kind| Workload::main_grid().into_iter().map(move |w| (machine, w, kind)))
-        .collect();
-    let mut summaries = sweep_summaries(&cells, scale, sweep_threads()).into_iter();
-    PolicyKind::main_roster()
-        .into_iter()
-        .map(|kind| {
-            let row = Workload::main_grid().iter().map(|_| summaries.next().unwrap()).collect();
-            (kind, row)
-        })
-        .collect()
-}
-
 /// Percentage improvement of `new` over `baseline` where *smaller is
 /// better* (wait time, slowdown): positive = improvement.
 pub fn reduction_pct(baseline: f64, new: f64) -> f64 {

@@ -78,7 +78,7 @@ pub use decision::{choose_knee, choose_preferred, DecisionRule};
 pub use ga::{GaConfig, GaConfigError, MooGa, SolveMode};
 pub use pareto::{dominates, ParetoFront};
 pub use pools::{NodeAssignment, PoolState};
-pub use problem::{Available, JobDemand, KnapsackMooProblem, RepairStyle};
+pub use problem::{JobDemand, KnapsackMooProblem, RepairStyle};
 pub use resource::{
     DemandSlot, Flavor, FlavorSet, ResourceKind, ResourceModel, ResourceModelError, ResourceSpec,
     ResourceVector, MAX_FLAVORS, MAX_RESOURCES,
@@ -127,12 +127,6 @@ impl Objectives {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.values[..self.len]
-    }
-
-    /// Mutable view of the active objective values.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.values[..self.len]
     }
 
     /// Number of active objectives.

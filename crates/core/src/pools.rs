@@ -11,7 +11,7 @@
 //! simulator can snapshot it freely into availability profiles and shadow
 //! states.
 
-use crate::problem::{Available, JobDemand};
+use crate::problem::JobDemand;
 use crate::resource::{
     DemandSlot, FlavorSet, ResourceModel, ResourceSpec, ResourceVector, MAX_FLAVORS, MAX_RESOURCES,
 };
@@ -184,11 +184,6 @@ impl PoolState {
         self.free.get(r)
     }
 
-    /// System capacity of resource `r`.
-    pub fn capacity_of(&self, r: usize) -> f64 {
-        self.cap.get(r)
-    }
-
     /// Free compute nodes.
     pub fn nodes(&self) -> u32 {
         self.free.get(0) as u32
@@ -356,16 +351,6 @@ impl PoolState {
             norms.push(self.total_ssd_capacity_gb());
         }
         norms
-    }
-
-    /// Snapshot as an [`Available`] for legacy problem construction.
-    pub fn as_available(&self) -> Available {
-        Available {
-            nodes: self.nodes(),
-            bb_gb: self.bb_gb(),
-            nodes_128: self.nodes_128(),
-            nodes_256: self.nodes_256(),
-        }
     }
 
     /// Whether `d` fits in the current free state.
@@ -643,16 +628,6 @@ mod tests {
         assert_eq!(m.nodes(), 7);
         assert_eq!(m.bb_gb(), 50.0);
         assert!(!m.ssd_aware());
-    }
-
-    #[test]
-    fn as_available_roundtrip() {
-        let p = PoolState::with_ssd(3, 5, 42.0);
-        let a = p.as_available();
-        assert_eq!(a.nodes, 8);
-        assert_eq!(a.nodes_128, 3);
-        assert_eq!(a.nodes_256, 5);
-        assert_eq!(a.bb_gb, 42.0);
     }
 
     #[test]

@@ -58,37 +58,10 @@ impl JobDemand {
     }
 }
 
-/// Resources available at one scheduling invocation (i.e., `N - N_used`,
-/// `B - B_used`, and the free node counts per SSD flavour).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Available {
-    /// Free compute nodes.
-    pub nodes: u32,
-    /// Free shared burst buffer in GB.
-    pub bb_gb: f64,
-    /// Free nodes equipped with [`SSD_SMALL_GB`] local SSDs.
-    pub nodes_128: u32,
-    /// Free nodes equipped with [`SSD_LARGE_GB`] local SSDs.
-    pub nodes_256: u32,
-}
-
 /// Capacity of the smaller local-SSD flavour (GB), per §5.
 pub const SSD_SMALL_GB: f64 = 128.0;
 /// Capacity of the larger local-SSD flavour (GB), per §5.
 pub const SSD_LARGE_GB: f64 = 256.0;
-
-impl Available {
-    /// Availability for a CPU + burst-buffer system with no local SSDs.
-    pub fn cpu_bb(nodes: u32, bb_gb: f64) -> Self {
-        Self { nodes, bb_gb, nodes_128: 0, nodes_256: 0 }
-    }
-
-    /// Availability with heterogeneous local SSD pools. `nodes` must equal
-    /// `nodes_128 + nodes_256` for SSD-aware problems.
-    pub fn with_ssd(nodes_128: u32, nodes_256: u32, bb_gb: f64) -> Self {
-        Self { nodes: nodes_128 + nodes_256, bb_gb, nodes_128, nodes_256 }
-    }
-}
 
 /// Floating-point slack for burst-buffer feasibility: requests are sums of
 /// values ≥ 1 GB, so a relative epsilon avoids rejecting selections that are

@@ -38,7 +38,7 @@ pub struct LiveSummary {
     pub by_backfill: usize,
     /// Jobs force-started by the starvation bound.
     pub by_starvation: usize,
-    /// Backfill starts the strategy credited (the paper's `backfilled`).
+    /// Backfill starts the pass credited (the paper's `backfilled`).
     pub backfill_credited: usize,
     /// Scheduling invocations observed.
     pub invocations: u64,

@@ -22,15 +22,16 @@
 //! policy in the simulator, exactly as §4.3 prescribes ("all the methods
 //! use EASY backfilling to mitigate resource fragmentation").
 //!
-//! ## Where a policy sits in the engine
+//! ## Where a policy sits in the scheduler core
 //!
-//! The simulator's `Engine` (`bbsched-sim`) runs six fixed phases per
+//! The scheduler core (`bbsched-sched`'s `SchedCore`, driven by the
+//! simulator and by the online replayer) runs six fixed phases per
 //! scheduling invocation; a [`SelectionPolicy`] is phase 4. It receives
 //! the window built in phase 2 (base order + dependency gating) and an
 //! availability that phase 3 may have *narrowed*: when a starved head job
-//! cannot fit, the engine hands the policy the component-wise minimum of
+//! cannot fit, the core hands the policy the component-wise minimum of
 //! the free pool and the head's shadow-leftover, so no selection can delay
-//! the protected reservation. The backfill strategy (phase 5) then fills
+//! the protected reservation. The backfill pass (phase 5) then fills
 //! any holes the policy left. `select` is called once per invocation with
 //! a monotone `invocation` counter even when it returns nothing; the
 //! engine asserts the returned set fits before starting it (those starts

@@ -158,11 +158,6 @@ impl AllocLedger {
         self.running.len()
     }
 
-    /// Whether nothing is running.
-    pub fn is_idle(&self) -> bool {
-        self.running.is_empty()
-    }
-
     /// The ledger entry of running job `idx`.
     pub fn get(&self, idx: usize) -> Option<&RunningJob> {
         self.running.get(&idx)

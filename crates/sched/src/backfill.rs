@@ -1,24 +1,26 @@
-//! Backfilling: the scheduler core's hole-filling phase, as a strategy
-//! family.
+//! Backfilling: the scheduler core's hole-filling phase.
 //!
 //! The paper's experiments run **EASY** backfilling (§2.1: reserve for the
 //! first blocked job only); this crate also ships **conservative**
 //! backfilling (every blocked candidate gets a reservation on a
-//! future-availability profile). Both are implementations of
-//! [`BackfillStrategy`], invoked by [`crate::SchedCore`] once per
-//! scheduling invocation after starvation forcing and policy selection;
-//! plan-based disciplines in the style of Kopanski & Rzadca can slot in
-//! as further implementations without touching any driver.
+//! future-availability profile). [`crate::SchedCore`] holds the configured
+//! discipline as a closed enum (one variant per
+//! [`crate::BackfillAlgorithm`]) and runs its pass once per scheduling
+//! invocation, after starvation forcing and policy selection: EASY is the
+//! stateless `easy_pass`, conservative is `ConservativeBackfill::pass`
+//! over the state it keeps between invocations ([`ConservativeState`] in
+//! a snapshot). A further discipline, such as the plan-based one of
+//! Kopanski & Rzadca, would be one more variant.
 //!
-//! A strategy sees the invocation through a [`BackfillCtx`]: the waiting
+//! A pass sees the invocation through a `BackfillCtx`: the waiting
 //! candidates (already scoped to window or queue by the core), the
 //! blocked reservation head if the starvation phase produced one, fit
-//! queries against the live pool, [`BackfillCtx::start`] to dispatch a
-//! job, and [`BackfillCtx::reserve`] to publish a reservation into the
-//! decision stream. `start(idx, credited)` distinguishes jobs the
-//! strategy *credits* as backfilled from queue-head starts that merely
-//! consumed freed capacity — the paper's `backfilled` accounting counts
-//! only the former.
+//! queries against the live pool, `start` to dispatch a job, and
+//! `reserve` to publish a reservation into the decision stream.
+//! `start(idx, credited)` distinguishes jobs the pass *credits* as
+//! backfilled from queue-head starts that merely consumed freed
+//! capacity — the paper's `backfilled` accounting counts only the
+//! former.
 //!
 //! This module also owns the EASY reservation math
 //! ([`shadow_and_leftover`]) and the piecewise-constant
@@ -31,7 +33,7 @@
 //!   start/finish deltas ([`AllocLedger::deltas_since`]) instead of
 //!   re-collecting and re-sorting the running set every pass;
 //! * buffer-reusing profile folds — [`AvailabilityProfile`] is owned by
-//!   the strategy across invocations and rebuilt in place from the
+//!   the conservative pass across invocations and rebuilt in place from the
 //!   mirror's already-sorted releases (no sort, no allocation); only the
 //!   reservation carvings of the previous pass are discarded;
 //! * **memoized pass replay** — an invocation that left the ledger
@@ -40,7 +42,7 @@
 //!   pass's reservations and advances the profile's origin in place
 //!   ([`AvailabilityProfile::advance_origin`]) instead of refolding and
 //!   re-querying every candidate, bit-identically (see the fast path in
-//!   [`ConservativeBackfill`]'s pass);
+//!   `ConservativeBackfill::pass`);
 //! * **column storage and the column scan** — one layout for every
 //!   machine: each segment's free counters live in per-column vectors
 //!   (one per modelled pooled resource, plus one flavour suffix count
@@ -134,78 +136,62 @@ pub fn shadow_and_leftover(ledger: &AllocLedger, head: &JobDemand, now: f64) -> 
     (f64::INFINITY, PoolState::cpu_bb(0, 0.0))
 }
 
-/// One invocation's view of the scheduler core, handed to a
-/// [`BackfillStrategy`].
+/// One invocation's view of the scheduler core, handed to a backfill
+/// pass.
 ///
 /// Constructed by [`crate::SchedCore::invoke`]; the mutable surface is
 /// exactly [`BackfillCtx::start`] and [`BackfillCtx::reserve`], so a
-/// strategy cannot corrupt accounting — every dispatch goes through the
+/// pass cannot corrupt accounting — every dispatch goes through the
 /// allocation ledger and the observers.
-pub struct BackfillCtx<'e, 'o> {
+pub(crate) struct BackfillCtx<'e, 'o> {
+    /// The invocation's simulation time.
     pub(crate) now: f64,
+    /// Candidate job indices in priority order (window- or queue-scoped
+    /// per [`crate::BackfillScope`], jobs already started this invocation
+    /// filtered out at scoping time).
     pub(crate) waiting: &'e [usize],
+    /// The starved job that could not start and owns the reservation, if
+    /// the starvation phase produced one.
     pub(crate) blocked_head: Option<usize>,
+    /// Maximum candidates the pass may examine.
     pub(crate) max_scan: usize,
     pub(crate) core: &'e mut crate::service::CoreState<'o>,
 }
 
-impl<'e> BackfillCtx<'e, '_> {
-    /// The invocation's simulation time.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Candidate job indices in priority order (window- or queue-scoped
-    /// per [`crate::BackfillScope`], jobs already started this invocation
-    /// filtered out at scoping time).
-    pub fn waiting(&self) -> &'e [usize] {
-        self.waiting
-    }
-
-    /// The starved job that could not start and owns the reservation, if
-    /// the starvation phase produced one.
-    pub fn blocked_head(&self) -> Option<usize> {
-        self.blocked_head
-    }
-
-    /// Maximum candidates the strategy may examine.
-    pub fn max_scan(&self) -> usize {
-        self.max_scan
-    }
-
+impl BackfillCtx<'_, '_> {
     /// Whether job `idx` already started in this invocation.
-    pub fn is_started(&self, idx: usize) -> bool {
+    fn is_started(&self, idx: usize) -> bool {
         self.core.started.contains(idx)
     }
 
     /// The capacity-clamped demand of job `idx`.
-    pub fn demand(&self, idx: usize) -> JobDemand {
+    fn demand(&self, idx: usize) -> JobDemand {
         self.core.demands[idx]
     }
 
     /// The requested walltime of job `idx` (seconds, as submitted).
-    pub fn walltime(&self, idx: usize) -> f64 {
+    fn walltime(&self, idx: usize) -> f64 {
         self.core.jobs[idx].walltime
     }
 
     /// The live free state.
-    pub fn pool(&self) -> &PoolState {
+    fn pool(&self) -> &PoolState {
         self.core.ledger.pool()
     }
 
     /// Whether job `idx` fits the free state right now.
-    pub fn fits_now(&self, idx: usize) -> bool {
+    fn fits_now(&self, idx: usize) -> bool {
         self.core.ledger.fits(&self.core.demands[idx])
     }
 
     /// Read access to the allocation ledger (release order, delta log).
-    pub fn ledger(&self) -> &AllocLedger {
+    fn ledger(&self) -> &AllocLedger {
         &self.core.ledger
     }
 
     /// Shadow time and leftover state for `head_idx` (see
     /// [`shadow_and_leftover`]).
-    pub fn shadow_and_leftover(&self, head_idx: usize) -> (f64, PoolState) {
+    fn shadow_and_leftover(&self, head_idx: usize) -> (f64, PoolState) {
         shadow_and_leftover(&self.core.ledger, &self.core.demands[head_idx], self.now)
     }
 
@@ -216,9 +202,9 @@ impl<'e> BackfillCtx<'e, '_> {
     /// `false` for queue-head starts that simply consumed freed capacity.
     ///
     /// # Panics
-    /// Panics if the job does not fit the free state (strategies must
-    /// check first) or already started.
-    pub fn start(&mut self, idx: usize, credited: bool) {
+    /// Panics if the job does not fit the free state (passes must check
+    /// first) or already started.
+    fn start(&mut self, idx: usize, credited: bool) {
         self.core.start_job(idx, self.now, crate::record::StartReason::Backfill);
         if credited {
             self.core.backfill_credit += 1;
@@ -227,115 +213,67 @@ impl<'e> BackfillCtx<'e, '_> {
 
     /// Publishes a [`crate::Decision::Reserve`] for job `idx` at time
     /// `at` into the invocation's decision stream. Purely observational:
-    /// the reservation's capacity bookkeeping stays inside the strategy;
-    /// the next invocation recomputes it from scratch.
-    pub fn reserve(&mut self, idx: usize, at: f64) {
+    /// the reservation's capacity bookkeeping stays inside the pass; the
+    /// next invocation recomputes it from scratch.
+    fn reserve(&mut self, idx: usize, at: f64) {
         self.core.note_reservation(idx, at);
-    }
-}
-
-/// A pluggable backfilling discipline.
-///
-/// Called once per scheduling invocation, after the starvation and policy
-/// phases. The strategy may start any not-yet-started candidate from
-/// [`BackfillCtx::waiting`] (plus the blocked head), subject to its own
-/// no-delay rules; the engine handles all bookkeeping around it. The
-/// strategy object lives as long as the engine, so implementations may
-/// keep incremental state between passes (conservative backfilling keeps
-/// its availability profile).
-pub trait BackfillStrategy: Send {
-    /// Display name (observer callbacks carry it).
-    fn name(&self) -> &'static str;
-
-    /// Runs one backfill pass.
-    fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>);
-
-    /// State this strategy carries across invocations as a serde value
-    /// tree, or `None` when it is stateless (EASY). Stateful strategies
-    /// override this together with [`BackfillStrategy::restore_state`].
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        None
-    }
-
-    /// Injects state exported by [`BackfillStrategy::snapshot_state`],
-    /// validating it against the restored `ledger`. The default accepts
-    /// nothing — handing persistent state to a stateless strategy is a
-    /// corrupt snapshot worth diagnosing.
-    fn restore_state(
-        &mut self,
-        state: &serde::Value,
-        ledger: &AllocLedger,
-    ) -> Result<(), SchedError> {
-        let _ = (state, ledger);
-        Err(SchedError::CorruptSnapshot(format!(
-            "backfill strategy `{}` carries no cross-invocation state",
-            self.name()
-        )))
     }
 }
 
 /// EASY backfilling (§2.1, the paper's choice): reserve for the first
 /// blocked job only; a candidate may start now if it finishes before the
-/// head's shadow time or fits inside the head's leftover.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EasyBackfill;
-
-impl BackfillStrategy for EasyBackfill {
-    fn name(&self) -> &'static str {
-        "EASY"
+/// head's shadow time or fits inside the head's leftover. Stateless: it
+/// replans from the ledger every pass.
+pub(crate) fn easy_pass(ctx: &mut BackfillCtx<'_, '_>) {
+    let waiting = ctx.waiting;
+    // Start any fitting head outright (covers policies that left a
+    // fitting job behind and the queue-front after backfill frees);
+    // stop at the first job that does not fit — it becomes the
+    // reservation head. A starved blocked job owns the reservation
+    // regardless of queue position.
+    let mut head: Option<usize> = None;
+    let mut cursor = 0usize;
+    while cursor < waiting.len() {
+        let idx = waiting[cursor];
+        if let Some(b) = ctx.blocked_head {
+            head = Some(b);
+            break;
+        }
+        if ctx.is_started(idx) {
+            cursor += 1;
+            continue;
+        }
+        if ctx.fits_now(idx) {
+            // Not credited: the queue head starting on freed capacity
+            // is ordinary dispatch, not a backfill move.
+            ctx.start(idx, false);
+            cursor += 1;
+        } else {
+            head = Some(idx);
+            break;
+        }
     }
 
-    fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>) {
-        let waiting = ctx.waiting();
-        // Start any fitting head outright (covers policies that left a
-        // fitting job behind and the queue-front after backfill frees);
-        // stop at the first job that does not fit — it becomes the
-        // reservation head. A starved blocked job owns the reservation
-        // regardless of queue position.
-        let mut head: Option<usize> = None;
-        let mut cursor = 0usize;
-        while cursor < waiting.len() {
-            let idx = waiting[cursor];
-            if let Some(b) = ctx.blocked_head() {
-                head = Some(b);
-                break;
-            }
-            if ctx.is_started(idx) {
-                cursor += 1;
-                continue;
-            }
-            if ctx.fits_now(idx) {
-                // Not credited: the queue head starting on freed capacity
-                // is ordinary dispatch, not a backfill move.
-                ctx.start(idx, false);
-                cursor += 1;
-            } else {
-                head = Some(idx);
-                break;
-            }
+    let Some(head_idx) = head else { return };
+    let (shadow, mut leftover) = ctx.shadow_and_leftover(head_idx);
+    ctx.reserve(head_idx, shadow);
+    for (scanned, &idx) in waiting.iter().enumerate() {
+        if scanned >= ctx.max_scan {
+            break;
         }
-
-        let Some(head_idx) = head else { return };
-        let (shadow, mut leftover) = ctx.shadow_and_leftover(head_idx);
-        ctx.reserve(head_idx, shadow);
-        for (scanned, &idx) in waiting.iter().enumerate() {
-            if scanned >= ctx.max_scan() {
-                break;
+        if ctx.is_started(idx) || idx == head_idx {
+            continue;
+        }
+        let d = ctx.demand(idx);
+        if !ctx.pool().fits(&d) {
+            continue;
+        }
+        let ends_before_shadow = ctx.now + ctx.walltime(idx) <= shadow + TIME_EPS;
+        if ends_before_shadow || leftover.fits(&d) {
+            if !ends_before_shadow {
+                let _ = leftover.alloc(&d);
             }
-            if ctx.is_started(idx) || idx == head_idx {
-                continue;
-            }
-            let d = ctx.demand(idx);
-            if !ctx.pool().fits(&d) {
-                continue;
-            }
-            let ends_before_shadow = ctx.now() + ctx.walltime(idx) <= shadow + TIME_EPS;
-            if ends_before_shadow || leftover.fits(&d) {
-                if !ends_before_shadow {
-                    let _ = leftover.alloc(&d);
-                }
-                ctx.start(idx, true);
-            }
+            ctx.start(idx, true);
         }
     }
 }
@@ -345,16 +283,16 @@ impl BackfillStrategy for EasyBackfill {
 /// it delays none of the reservations ahead of it. Stronger fairness,
 /// fewer backfill opportunities.
 ///
-/// The strategy is stateful: it owns a [`ReleaseMirror`] synced from the
-/// ledger's delta log and a persistent [`AvailabilityProfile`] refolded in
-/// place each pass, so no pass allocates or sorts. Invocations that left
-/// the ledger untouched (pure arrivals) replay the previous pass's
-/// memoized reservations instead of re-querying every candidate — see
-/// the fast path in [`BackfillStrategy::pass`]. Schedules are
-/// bit-identical to a rebuild-per-pass reference over
+/// The discipline is stateful: it owns a [`ReleaseMirror`] synced from
+/// the ledger's delta log and a persistent [`AvailabilityProfile`]
+/// refolded in place each pass, so no pass allocates or sorts.
+/// Invocations that left the ledger untouched (pure arrivals) replay the
+/// previous pass's memoized reservations instead of re-querying every
+/// candidate — see the fast path in [`ConservativeBackfill::pass`].
+/// Schedules are bit-identical to a rebuild-per-pass reference over
 /// [`crate::LegacyProfile`] — proven by the golden-equivalence suite.
 #[derive(Clone, Debug, Default)]
-pub struct ConservativeBackfill {
+pub(crate) struct ConservativeBackfill {
     mirror: ReleaseMirror,
     profile: AvailabilityProfile,
     /// Per-pass candidate order scratch (blocked head first).
@@ -380,19 +318,22 @@ pub struct ConservativeBackfill {
 }
 
 impl ConservativeBackfill {
-    /// Extracts the strategy's owned cross-invocation state: the release
-    /// mirror and the persistent availability profile (with its
-    /// watermark). The per-pass candidate ordering is scratch and is not
-    /// part of the state.
-    pub fn snapshot(&self) -> ConservativeState {
+    /// Extracts the owned cross-invocation state: the release mirror and
+    /// the persistent availability profile (with its watermark). The
+    /// per-pass candidate ordering is scratch and is not part of the
+    /// state.
+    pub(crate) fn snapshot(&self) -> ConservativeState {
         ConservativeState { mirror: self.mirror.snapshot(), profile: self.profile.snapshot() }
     }
 
-    /// Rebuilds the strategy from extracted state, validating the mirror
-    /// against the restored `ledger` (see [`ReleaseMirror::restore`]) and
-    /// the profile's shape. Corrupt state fails with a typed
+    /// Rebuilds the discipline from extracted state, validating the
+    /// mirror against the restored `ledger` (see [`ReleaseMirror::restore`])
+    /// and the profile's shape. Corrupt state fails with a typed
     /// [`SchedError::CorruptSnapshot`] instead of panicking mid-pass.
-    pub fn restore(state: ConservativeState, ledger: &AllocLedger) -> Result<Self, SchedError> {
+    pub(crate) fn restore(
+        state: ConservativeState,
+        ledger: &AllocLedger,
+    ) -> Result<Self, SchedError> {
         Ok(Self {
             mirror: ReleaseMirror::restore(state.mirror, ledger)?,
             profile: AvailabilityProfile::restore(state.profile)?,
@@ -412,8 +353,8 @@ impl ConservativeBackfill {
     /// the prefix check compares the memoized prefix elementwise.
     fn replay_valid(&self, ctx: &BackfillCtx<'_, '_>) -> bool {
         if self.cache_ordered.is_empty()
-            || self.cache_ordered.len() > self.ordered.len().min(ctx.max_scan())
-            || self.cache_min_outcome <= ctx.now() + TIME_EPS
+            || self.cache_ordered.len() > self.ordered.len().min(ctx.max_scan)
+            || self.cache_min_outcome <= ctx.now + TIME_EPS
         {
             return false;
         }
@@ -429,7 +370,7 @@ impl ConservativeBackfill {
     #[cfg(debug_assertions)]
     fn verify_replay(&self, ctx: &BackfillCtx<'_, '_>) {
         let mut scratch = AvailabilityProfile::default();
-        self.mirror.fold_into(ctx.now(), *ctx.pool(), &mut scratch);
+        self.mirror.fold_into(ctx.now, *ctx.pool(), &mut scratch);
         for (&idx, &t) in self.cache_ordered.iter().zip(&self.cache_outcome) {
             if t.is_nan() {
                 assert!(ctx.is_started(idx), "memoized skip for job {idx}, which never started");
@@ -439,7 +380,7 @@ impl ConservativeBackfill {
             let walltime = ctx.walltime(idx).max(1.0);
             assert_eq!(
                 t,
-                scratch.earliest_start(&d, ctx.now(), walltime),
+                scratch.earliest_start(&d, ctx.now, walltime),
                 "memoized outcome diverged from recompute for job {idx}"
             );
             if t.is_finite() {
@@ -452,30 +393,11 @@ impl ConservativeBackfill {
             "origin-advanced profile diverged from refold + recompute"
         );
     }
-}
 
-impl BackfillStrategy for ConservativeBackfill {
-    fn name(&self) -> &'static str {
-        "conservative"
-    }
-
-    fn snapshot_state(&self) -> Option<serde::Value> {
-        Some(serde::Serialize::to_value(&self.snapshot()))
-    }
-
-    fn restore_state(
-        &mut self,
-        state: &serde::Value,
-        ledger: &AllocLedger,
-    ) -> Result<(), SchedError> {
-        let state: ConservativeState = serde::Deserialize::from_value(state).map_err(|e| {
-            SchedError::CorruptSnapshot(format!("conservative backfill state: {e}"))
-        })?;
-        *self = Self::restore(state, ledger)?;
-        Ok(())
-    }
-
-    fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>) {
+    /// Runs one conservative pass: reserves for every candidate in
+    /// priority order (the starved blocked head first) and starts those
+    /// whose earliest slot is now.
+    pub(crate) fn pass(&mut self, ctx: &mut BackfillCtx<'_, '_>) {
         // Apply the starts/finishes since the previous pass to the sorted
         // release mirror, then refold the profile over the reused buffers
         // (dropping the previous pass's reservation carvings — the only
@@ -484,11 +406,10 @@ impl BackfillStrategy for ConservativeBackfill {
         // Reservations for everyone; the starved blocked job (if any)
         // reserves first.
         self.ordered.clear();
-        if let Some(b) = ctx.blocked_head() {
+        if let Some(b) = ctx.blocked_head {
             self.ordered.push(b);
         }
-        self.ordered
-            .extend(ctx.waiting().iter().copied().filter(|&i| Some(i) != ctx.blocked_head()));
+        self.ordered.extend(ctx.waiting.iter().copied().filter(|&i| Some(i) != ctx.blocked_head));
         // Replay fast path. When the ledger is untouched since the
         // previous pass (a pure-arrival invocation — about half of all
         // passes under event-driven scheduling), a refold would produce
@@ -511,8 +432,7 @@ impl BackfillStrategy for ConservativeBackfill {
         // candidates below are queried for real against the advanced
         // profile. Debug builds re-derive the whole pass from a scratch
         // refold and assert both the outcomes and the profile state.
-        let begin = if unchanged && self.replay_valid(ctx) && self.profile.advance_origin(ctx.now())
-        {
+        let begin = if unchanged && self.replay_valid(ctx) && self.profile.advance_origin(ctx.now) {
             for (&idx, &t) in self.cache_ordered.iter().zip(&self.cache_outcome) {
                 if t.is_finite() {
                     ctx.reserve(idx, t);
@@ -522,7 +442,7 @@ impl BackfillStrategy for ConservativeBackfill {
             self.verify_replay(ctx);
             self.cache_ordered.len()
         } else {
-            self.mirror.fold_into(ctx.now(), *ctx.pool(), &mut self.profile);
+            self.mirror.fold_into(ctx.now, *ctx.pool(), &mut self.profile);
             self.cache_ordered.clear();
             self.cache_outcome.clear();
             self.cache_min_outcome = f64::INFINITY;
@@ -544,7 +464,7 @@ impl BackfillStrategy for ConservativeBackfill {
             }
         }
         for pos in begin..self.ordered.len() {
-            if pos >= ctx.max_scan() {
+            if pos >= ctx.max_scan {
                 break;
             }
             let idx = self.ordered[pos];
@@ -560,7 +480,7 @@ impl BackfillStrategy for ConservativeBackfill {
             // ranks to the carve, so no step searches `times`. A carve
             // that splits in the reservation's end moves the memo's ranks
             // beyond it.
-            let (from, rank) = self.memo.bound(&d, walltime, ctx.now());
+            let (from, rank) = self.memo.bound(&d, walltime, ctx.now);
             let (t, lo, hi) = if from.is_finite() {
                 self.profile.earliest_slot(&d, from, rank + 1, walltime)
             } else {
@@ -574,7 +494,7 @@ impl BackfillStrategy for ConservativeBackfill {
                 #[cfg(debug_assertions)]
                 self.memo.assert_ranks(self.profile.times());
             }
-            if t <= ctx.now() + TIME_EPS && ctx.pool().fits(&d) {
+            if t <= ctx.now + TIME_EPS && ctx.pool().fits(&d) {
                 // Started now; the carve above consumed from the
                 // profile's "now" segments too. The start bumps the
                 // ledger generation, so this pass's memo can never
@@ -586,7 +506,7 @@ impl BackfillStrategy for ConservativeBackfill {
             }
             // An answer equal to its bound is redundant (the entry that
             // gave the bound covers it); one at `now` bounds nothing.
-            if t > from.max(ctx.now() + TIME_EPS) {
+            if t > from.max(ctx.now + TIME_EPS) {
                 self.memo.note(&d, walltime, t, lo);
             }
             if t.is_finite() {
@@ -1832,7 +1752,7 @@ impl AvailabilityProfile {
     /// point.
     pub fn restore(state: ProfileState) -> Result<Self, SchedError> {
         if state.times.is_empty() && state.states.is_empty() && state.skyline_clean_from == 0 {
-            // A never-folded profile (fresh strategy, no pass yet).
+            // A never-folded profile (fresh state, no pass yet).
             return Ok(Self::default());
         }
         if state.times.is_empty() || state.times.len() != state.states.len() {
@@ -1945,7 +1865,8 @@ pub struct ProfileState {
     pub skyline_clean_from: usize,
 }
 
-/// Owned cross-invocation state of a [`ConservativeBackfill`] strategy.
+/// Owned cross-invocation state of conservative backfilling: what a
+/// [`crate::CoreSnapshot`] records for it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConservativeState {
     /// The persistent release mirror.

@@ -4,7 +4,7 @@
 //! unschedulable and would deadlock any non-backfilling path. Every
 //! driver therefore runs submissions through [`clamp_demand`] before
 //! handing them to the core: the simulator clamps a whole trace up front
-//! (or rejects it, per its `clamp_impossible` knob), and the online replay
+//! (counting the clamped jobs in its result), and the online replay
 //! driver clamps each submit event as it streams in. Keeping the rule in
 //! one place is what makes the two drivers produce identical schedules.
 

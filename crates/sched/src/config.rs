@@ -122,18 +122,6 @@ pub enum BackfillAlgorithm {
     Conservative,
 }
 
-impl BackfillAlgorithm {
-    /// The [`crate::BackfillStrategy`] implementing this discipline.
-    pub fn strategy(self) -> Box<dyn crate::backfill::BackfillStrategy> {
-        match self {
-            BackfillAlgorithm::Easy => Box::new(crate::backfill::EasyBackfill),
-            BackfillAlgorithm::Conservative => {
-                Box::new(crate::backfill::ConservativeBackfill::default())
-            }
-        }
-    }
-}
-
 /// Candidate scope for the EASY backfilling pass.
 ///
 /// The paper runs window-based selection with EASY backfilling on top

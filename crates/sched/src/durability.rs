@@ -764,9 +764,6 @@ pub fn inspect_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SchedError> {
         .ok_or_else(|| SchedError::CorruptSnapshot("snapshot is not an object".to_string()))?;
     let kind = if map_get(top, "consumed").is_some() && map_get(top, "replay").is_some() {
         "daemon checkpoint"
-    } else if map_get(top, "replay").is_some() {
-        // Written by `cli replay --checkpoint` in earlier builds.
-        "replay checkpoint"
     } else if map_get(top, "events_fed").is_some() {
         "replay snapshot"
     } else if map_get(top, "schema_version").is_some() {

@@ -3,8 +3,7 @@
 use bbsched_workloads::SystemConfigError;
 
 /// Everything that can go wrong configuring or feeding a
-/// [`crate::SchedCore`] (drivers re-export this; the simulator calls it
-/// `SimError` for compatibility).
+/// [`crate::SchedCore`] (both drivers report it as is).
 #[derive(Clone, Debug, PartialEq)]
 pub enum SchedError {
     /// The system configuration failed validation.
@@ -15,20 +14,6 @@ pub enum SchedError {
     /// exceeding `max`, which used to panic mid-simulation inside
     /// `clamp`).
     InvalidDynamicWindow(String),
-    /// A job can never fit the machine and the driver declined to clamp
-    /// its demand (the simulator's `clamp_impossible` knob).
-    ImpossibleJob {
-        /// Trace job id.
-        id: u64,
-        /// Name of the system the job cannot fit.
-        system: String,
-        /// Requested compute nodes.
-        nodes: u32,
-        /// Requested shared burst buffer (GB).
-        bb_gb: f64,
-        /// Requested local SSD per node (GB).
-        ssd_gb_per_node: f64,
-    },
     /// A job with this id was already submitted
     /// ([`crate::SchedCore::submit`] keys running state on the id).
     DuplicateJob(u64),
@@ -61,13 +46,12 @@ impl std::fmt::Display for SchedError {
             SchedError::System(e) => write!(f, "{e}"),
             SchedError::InvalidWindow(msg) => write!(f, "{msg}"),
             SchedError::InvalidDynamicWindow(msg) => write!(f, "invalid dynamic window: {msg}"),
-            SchedError::ImpossibleJob { id, system, nodes, bb_gb, ssd_gb_per_node } => write!(
-                f,
-                "job {id} can never fit system '{system}' (nodes {nodes}, bb {bb_gb} GB, ssd {ssd_gb_per_node} GB/node)"
-            ),
             SchedError::DuplicateJob(id) => write!(f, "job {id} was already submitted"),
             SchedError::UnknownJob(id) => {
-                write!(f, "job {id} is not running (never submitted, never started, or already finished)")
+                write!(
+                    f,
+                    "job {id} is not running (never submitted, never started, or already finished)"
+                )
             }
             SchedError::CorruptSnapshot(msg) => write!(f, "corrupt snapshot: {msg}"),
             SchedError::SnapshotVersion { found, expected } => {

@@ -8,9 +8,9 @@
 //!
 //! It exists as the **equivalence oracle** and must not be "improved":
 //! the profile property tests and the golden-equivalence suite's frozen
-//! reference run prove the incremental [`crate::ConservativeBackfill`]
-//! and its [`crate::AvailabilityProfile`] produce bit-identical profiles
-//! and schedules to it.
+//! reference run prove that incremental conservative backfilling and
+//! its [`crate::AvailabilityProfile`] produce bit-identical profiles and
+//! schedules to it.
 
 use bbsched_core::pools::{NodeAssignment, PoolState};
 use bbsched_core::problem::JobDemand;

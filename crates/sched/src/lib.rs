@@ -9,7 +9,7 @@
 //! loop.
 //!
 //! [`SchedCore`] owns the waiting queue, the allocation ledger, the
-//! backfill strategy, the window/starvation state, and the selection
+//! backfill discipline, the window/starvation state, and the selection
 //! policy. A *driver* owns time: it feeds [`SchedCore::submit`] and
 //! [`SchedCore::job_finished`], calls [`SchedCore::invoke`] at each
 //! event instant, and applies the returned [`Decision`]s. Two drivers
@@ -34,9 +34,9 @@
 //! * [`alloc`] — the allocation ledger: pool accounting with conservation
 //!   checks, the incrementally maintained release order, and a
 //!   generation-numbered start/finish delta log;
-//! * [`backfill`] — EASY and conservative backfilling behind the
-//!   [`BackfillStrategy`] trait, plus the availability-profile machinery
-//!   (DESIGN.md §10);
+//! * [`backfill`] — EASY and conservative backfilling (a closed choice:
+//!   one [`BackfillAlgorithm`] variant each), plus the availability-profile
+//!   machinery (DESIGN.md §10);
 //! * [`legacy_profile`] — the frozen rebuild-per-pass availability
 //!   profile, kept as the equivalence oracle;
 //! * [`observer`] — the [`SchedObserver`] callbacks everything observable
@@ -74,8 +74,8 @@ pub mod state;
 
 pub use alloc::{AllocLedger, LedgerDelta, LedgerState, RunningJob};
 pub use backfill::{
-    shadow_and_leftover, AvailabilityProfile, BackfillCtx, BackfillStrategy, ConservativeBackfill,
-    ConservativeState, EasyBackfill, MirrorState, ProfileState, ReleaseMirror,
+    shadow_and_leftover, AvailabilityProfile, ConservativeState, MirrorState, ProfileState,
+    ReleaseMirror,
 };
 pub use base_sched::BaseScheduler;
 pub use clamp::clamp_demand;

@@ -78,10 +78,11 @@ pub trait SchedObserver {
     /// The driver reported a job's completion.
     fn on_job_finished(&mut self, _now: f64, _job: &Job, _demand: &JobDemand) {}
 
-    /// The backfill phase of this invocation finished. `started` counts
-    /// only jobs the strategy itself credited as backfilled (the head of
-    /// the queue starting because capacity freed up is not credited,
-    /// matching the paper's accounting).
+    /// The backfill phase of this invocation finished. `algorithm` is
+    /// `"EASY"` or `"conservative"`. `started` counts only jobs the pass
+    /// itself credited as backfilled (the head of the queue starting
+    /// because capacity freed up is not credited, matching the paper's
+    /// accounting).
     fn on_backfill_pass(&mut self, _now: f64, _algorithm: &'static str, _started: usize) {}
 
     /// The scheduling invocation finished; `started` is the total number

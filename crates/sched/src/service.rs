@@ -4,7 +4,7 @@
 //! top of Slurm/Cobalt and is handed the queue at every scheduling
 //! invocation). [`SchedCore`] is that plugin as a standalone service: it
 //! owns the waiting queue ([`crate::QueueManager`]), the allocation
-//! ledger ([`crate::AllocLedger`]), the backfill strategy, the
+//! ledger ([`crate::AllocLedger`]), the backfill discipline, the
 //! window/starvation state, and the selection policy, and exposes a
 //! narrow imperative API —
 //!
@@ -33,14 +33,14 @@
 //! 3. jobs past the starvation bound are force-started (or, if they no
 //!    longer fit, become the reservation head so nothing delays them);
 //! 4. the multi-resource selection policy picks window jobs to start;
-//! 5. the backfill strategy starts any remaining candidate that fits now
+//! 5. the backfill pass starts any remaining candidate that fits now
 //!    without delaying the reservation head, using *walltime estimates*
 //!    exactly like a production scheduler;
 //! 6. starvation bookkeeping and queue cleanup.
 
 use crate::alloc::AllocLedger;
-use crate::backfill::{BackfillCtx, BackfillStrategy};
-use crate::config::{BackfillScope, SchedConfig};
+use crate::backfill::{easy_pass, BackfillCtx, ConservativeBackfill};
+use crate::config::{BackfillAlgorithm, BackfillScope, SchedConfig};
 use crate::error::SchedError;
 use crate::idhash::BuildIdHasher;
 use crate::jobset::JobSet;
@@ -62,7 +62,7 @@ use std::fmt::Write as _;
 /// running until it reports [`SchedCore::job_finished`]. `Reserve` is
 /// advisory planning state (the EASY shadow reservation, or a
 /// conservative-backfill reservation): it tells the driver *why* a job
-/// did not start, and where the strategy currently plans to place it; the
+/// did not start, and where the backfill pass currently plans it; the
 /// next invocation recomputes reservations from scratch.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Decision {
@@ -78,7 +78,7 @@ pub enum Decision {
         /// the ledger will hold the resources for planning purposes.
         est_end: f64,
     },
-    /// Job `id` could not start; the backfill strategy reserved capacity
+    /// Job `id` could not start; the backfill pass reserved capacity
     /// for it at time `at`.
     Reserve {
         /// Dense submission index of the job.
@@ -164,8 +164,8 @@ pub(crate) struct CoreState<'o> {
     /// Jobs started during the current invocation (bitset: probed inside
     /// the queue-cleanup and backfill loops, cleared per invocation).
     pub(crate) started: JobSet,
-    /// Backfill starts the strategy credited this pass (see
-    /// [`BackfillCtx::start`]).
+    /// Backfill starts the pass credited this invocation (see
+    /// `BackfillCtx::start`).
     pub(crate) backfill_credit: usize,
     /// Decisions of the current invocation, in the order they were made.
     pub(crate) decisions: Vec<Decision>,
@@ -216,6 +216,25 @@ impl CoreState<'_> {
     }
 }
 
+/// The configured backfilling discipline, with the state it carries
+/// across invocations: one variant per [`BackfillAlgorithm`].
+enum Backfill {
+    /// EASY: stateless, replans from the ledger every pass.
+    Easy,
+    /// Conservative: release mirror, persistent profile and pass memo
+    /// (boxed: the core holds exactly one).
+    Conservative(Box<ConservativeBackfill>),
+}
+
+impl Backfill {
+    fn new(algorithm: BackfillAlgorithm) -> Self {
+        match algorithm {
+            BackfillAlgorithm::Easy => Backfill::Easy,
+            BackfillAlgorithm::Conservative => Backfill::Conservative(Box::default()),
+        }
+    }
+}
+
 /// The driver-agnostic scheduler-service core. Construct with
 /// [`SchedCore::new`], feed with [`SchedCore::submit`] and
 /// [`SchedCore::job_finished`], and run scheduling invocations with
@@ -225,7 +244,7 @@ pub struct SchedCore<'o> {
     policy: Box<dyn SelectionPolicy>,
     state: CoreState<'o>,
     queue: crate::queue::QueueManager,
-    backfill: Box<dyn BackfillStrategy>,
+    backfill: Backfill,
     completed_ids: HashSet<u64, BuildIdHasher>,
     id_to_idx: HashMap<u64, usize, BuildIdHasher>,
     tracker: StarvationTracker,
@@ -246,7 +265,7 @@ impl<'o> SchedCore<'o> {
         system.validate()?;
         cfg.validate()?;
         let queue = crate::queue::QueueManager::new(cfg.base);
-        let backfill = cfg.backfill_algorithm.strategy();
+        let backfill = Backfill::new(cfg.backfill_algorithm);
         Ok(Self {
             state: CoreState {
                 jobs: Vec::new(),
@@ -313,7 +332,7 @@ impl<'o> SchedCore<'o> {
     /// may invoke unconditionally after every batch of events.
     ///
     /// Invocation times must not regress: the starvation bookkeeping and
-    /// the backfill strategies' profiles assume monotonically
+    /// conservative backfilling's profile assume monotonically
     /// non-decreasing `now` across calls.
     pub fn invoke(&mut self, now: f64) -> &[Decision] {
         self.state.decisions.clear();
@@ -414,7 +433,7 @@ impl<'o> SchedCore<'o> {
             }
         }
 
-        // --- (5) backfilling, behind the strategy object ---
+        // --- (5) backfilling under the configured discipline ---
         scratch.waiting.clear();
         match self.cfg.backfill {
             BackfillScope::Window => {
@@ -440,9 +459,17 @@ impl<'o> SchedCore<'o> {
             max_scan: self.cfg.max_backfill_scan,
             core: &mut self.state,
         };
-        self.backfill.pass(&mut ctx);
+        let algorithm = match &mut self.backfill {
+            Backfill::Easy => {
+                easy_pass(&mut ctx);
+                "EASY"
+            }
+            Backfill::Conservative(c) => {
+                c.pass(&mut ctx);
+                "conservative"
+            }
+        };
         let credited = self.state.backfill_credit;
-        let algorithm = self.backfill.name();
         self.state.notify(|o| o.on_backfill_pass(now, algorithm, credited));
 
         // --- (6) starvation bookkeeping & queue cleanup ---
@@ -543,7 +570,10 @@ impl<'o> SchedCore<'o> {
             demands: self.state.demands.clone(),
             queue: self.queue.snapshot(),
             ledger: self.state.ledger.snapshot(),
-            backfill: self.backfill.snapshot_state(),
+            backfill: match &self.backfill {
+                Backfill::Easy => None,
+                Backfill::Conservative(c) => Some(c.snapshot()),
+            },
             starvation: self.tracker.entries(),
             completed,
             invocations: self.invocations,
@@ -623,10 +653,17 @@ impl<'o> SchedCore<'o> {
                 )));
             }
         }
-        let mut backfill = snapshot.config.backfill_algorithm.strategy();
-        if let Some(state) = &snapshot.backfill {
-            backfill.restore_state(state, &ledger)?;
-        }
+        let backfill = match (snapshot.config.backfill_algorithm, snapshot.backfill) {
+            (algorithm, None) => Backfill::new(algorithm),
+            (BackfillAlgorithm::Easy, Some(_)) => {
+                return Err(SchedError::CorruptSnapshot(
+                    "backfill algorithm `EASY` carries no cross-invocation state".into(),
+                ))
+            }
+            (BackfillAlgorithm::Conservative, Some(state)) => {
+                Backfill::Conservative(Box::new(ConservativeBackfill::restore(state, &ledger)?))
+            }
+        };
         let mut policy = policy;
         if let Some(state) = &snapshot.policy.state {
             if policy.name() == snapshot.policy.name {
@@ -915,6 +952,15 @@ mod tests {
         assert_eq!(f.queue_len(), c.queue_len());
     }
 
+    /// The value at `path` in nested maps of a decoded JSON tree.
+    fn map_field<'v>(mut v: &'v mut Value, path: &[&str]) -> &'v mut Value {
+        for key in path {
+            let Value::Map(map) = v else { panic!("`{key}`'s parent is not a map") };
+            v = &mut map.iter_mut().find(|(k, _)| k == key).expect("field present").1;
+        }
+        v
+    }
+
     #[test]
     fn corrupt_snapshots_fail_restore_with_typed_errors() {
         let mut c = core(4);
@@ -953,6 +999,49 @@ mod tests {
             SchedCore::restore(bad, build(), Vec::new()),
             Err(SchedError::CorruptSnapshot(_))
         ));
+
+        // A conservative core with two running jobs (est_end 20 and 100)
+        // and one blocked: its mirror holds two releases.
+        let cfg = SchedConfig {
+            backfill_algorithm: crate::config::BackfillAlgorithm::Conservative,
+            ..SchedConfig::default()
+        };
+        let mut cons = SchedCore::new(&system(4), cfg, build(), Vec::new()).unwrap();
+        for (j, d) in [job(0, 0.0, 2, 50.0), job(1, 0.0, 2, 10.0), job(2, 0.0, 3, 5.0)] {
+            cons.submit(j, d).unwrap();
+        }
+        cons.invoke(0.0);
+        let cons_snap = cons.snapshot();
+
+        // An EASY snapshot carrying backfill state: EASY keeps none.
+        let mut bad = good.clone();
+        bad.backfill = cons_snap.backfill.clone();
+        assert!(bad.backfill.is_some());
+        assert!(matches!(
+            SchedCore::restore(bad, build(), Vec::new()),
+            Err(SchedError::CorruptSnapshot(_))
+        ));
+
+        // Malformed conservative state on the wire, decoded and restored:
+        // mirror releases out of order, and a mirror of the wrong shape.
+        let corrupt_backfill = |edit: &dyn Fn(&mut Value)| {
+            let mut value = serde_json::value_from_slice(cons_snap.to_json().as_bytes()).unwrap();
+            edit(&mut value);
+            let text = serde_json::to_string(&RawValue(value)).unwrap();
+            CoreSnapshot::from_json(&text)
+                .and_then(|snap| SchedCore::restore(snap, build(), Vec::new()).map(|_| ()))
+        };
+        let reverse_releases = |v: &mut Value| {
+            let Value::Seq(releases) = map_field(v, &["backfill", "mirror", "releases"]) else {
+                panic!("mirror releases are a sequence")
+            };
+            assert_eq!(releases.len(), 2);
+            releases.reverse();
+        };
+        let garble_mirror = |v: &mut Value| *map_field(v, &["backfill", "mirror"]) = Value::U64(7);
+        assert!(matches!(corrupt_backfill(&reverse_releases), Err(SchedError::CorruptSnapshot(_))));
+        assert!(matches!(corrupt_backfill(&garble_mirror), Err(SchedError::CorruptSnapshot(_))));
+        assert!(corrupt_backfill(&|_| ()).is_ok(), "the unedited wire round trip restores");
 
         // The untouched snapshot still restores.
         assert!(SchedCore::restore(good, build(), Vec::new()).is_ok());

@@ -4,9 +4,9 @@
 //! state type and a uniform extract/inject contract (`snapshot()` /
 //! `restore(state)`): the queue ([`crate::queue::QueueState`]), the
 //! allocation ledger ([`crate::alloc::LedgerState`], including the
-//! delta-log generation and the release order), the backfill strategy
-//! (conservative: [`crate::backfill::ConservativeState`] = release
-//! mirror plus persistent availability profile and its watermark),
+//! delta-log generation and the release order), conservative backfilling
+//! ([`crate::backfill::ConservativeState`] = release mirror plus
+//! persistent availability profile and its watermark),
 //! the starvation tracker, and any policy with cross-invocation state
 //! ([`bbsched_policies::SelectionPolicy::snapshot_state`]).
 //!
@@ -30,7 +30,7 @@
 //! typed [`SchedError::CorruptSnapshot`], never a panic.
 //!
 //! The schema is deliberately insulated from performance work: the
-//! availability profile's column storage and the conservative strategy's
+//! availability profile's column storage and conservative backfilling's
 //! replay memo are acceleration state, rebuilt from the flat
 //! representation on restore and never serialized.
 //! [`crate::backfill::ConservativeState`] today captures exactly what it
@@ -56,6 +56,7 @@
 //!   and decision buffers are rebuilt from scratch each invocation;
 //!   snapshots are only meaningful *between* invocations.
 
+use crate::backfill::ConservativeState;
 use crate::config::SchedConfig;
 use crate::error::SchedError;
 use crate::queue::QueueState;
@@ -81,10 +82,10 @@ pub struct CoreSnapshot {
     /// The allocation ledger: bit-exact free pool, running set in release
     /// order, delta log and generation counters.
     pub ledger: crate::alloc::LedgerState,
-    /// Backfill-strategy state, if the strategy carries any across
-    /// invocations (conservative: mirror + profile + watermark;
-    /// EASY: `None` — it replans from the ledger every pass).
-    pub backfill: Option<Value>,
+    /// Backfill state carried across invocations: conservative keeps its
+    /// mirror, profile and watermark; EASY records `None` (it replans
+    /// from the ledger every pass).
+    pub backfill: Option<ConservativeState>,
     /// Starvation-tracker entries as sorted `(job id, bypass count)`
     /// pairs.
     pub starvation: Vec<(u64, u32)>,

@@ -10,20 +10,26 @@
 //! staggered releases to grow deep profiles (192-plus segments), then
 //! drives random start / finish / reserve interleavings over pooled
 //! R ∈ {2, 3} and flavoured R ∈ {3, 4} systems (two- and three-tier
-//! heterogeneous SSD flavours), asserting at every pass:
+//! heterogeneous SSD flavours); three small unseeded R ∈ {2, 3, 4}
+//! systems run the same interleavings on shallow profiles, where most
+//! demands fail to fit. At every pass it asserts:
 //!
-//! 1. `earliest_start` / `fits_interval` / `state_at` from the scan
+//! 1. the [`ReleaseMirror`]-fed in-place fold `==` a from-scratch
+//!    [`AvailabilityProfile::new`] over the ledger's release schedule;
+//! 2. `earliest_start` / `fits_interval` / `state_at` from the scan
 //!    `==` the `*_linear` oracles `==` `LegacyProfile`, both on a
 //!    freshly folded profile and after reservations have split segments
 //!    and raised the watermark;
-//! 2. post-`reserve` boundaries and states are bit-identical between
+//! 3. post-`reserve` boundaries and states are bit-identical between
 //!    the column-stored profile and `LegacyProfile`, after dozens of
 //!    carves per pass — on flavoured systems that checks the suffix
 //!    carve against greedy smallest-sufficient-flavour allocation;
-//! 3. `advance_origin` (the replay fast path's origin drop) agrees with
+//! 4. `advance_origin` (the replay fast path's origin drop) agrees with
 //!    a from-scratch clamp-fold at the advanced instant;
-//! 4. `restore(snapshot())` equals the profile and re-snapshots to
-//!    byte-identical JSON.
+//! 5. `restore(snapshot())` equals the profile and re-snapshots to
+//!    byte-identical JSON;
+//! 6. once every job has finished, the drained ledger refolds to the
+//!    from-scratch profile too.
 //!
 //! Debug builds double the coverage for free: the queries internally
 //! cross-check the scan answers against the linear walk via
@@ -52,7 +58,8 @@ const RESERVES_PER_PASS: u16 = 64;
 
 /// A system under test: its full pool, a demand generator mapping raw op
 /// words onto (sometimes infeasible) probe demands, and how many
-/// staggered seed jobs to start before the random interleaving begins.
+/// staggered seed jobs to start before the random interleaving begins
+/// (none for the shallow systems).
 struct SystemUnderTest {
     pool: PoolState,
     demand: fn(u16, u16, u16) -> JobDemand,
@@ -168,7 +175,53 @@ fn systems() -> Vec<SystemUnderTest> {
             _ => 200.0,
         },
     };
-    vec![pooled, pooled3, ssd, four, tiers]
+    // Shallow systems: small machines, no seed phase, demands often
+    // larger than the machine.
+    // R = 2: pooled nodes + shared burst buffer.
+    let small_pooled = SystemUnderTest {
+        pool: PoolState::cpu_bb(32, 800.0),
+        demand: |a, b, _| JobDemand::cpu_bb(1 + u32::from(a) % 34, f64::from(b % 900)),
+        seed_jobs: 0,
+        seed_ssd: |_| 0.0,
+    };
+    // R = 3: nodes + burst buffer + two-tier local SSDs.
+    let small_ssd = SystemUnderTest {
+        pool: PoolState::with_ssd(12, 12, 600.0),
+        demand: |a, b, c| {
+            let ssd = match c % 4 {
+                0 => 0.0,
+                1 => 64.0,
+                2 => 150.0,
+                _ => 240.0,
+            };
+            JobDemand::cpu_bb_ssd(1 + u32::from(a) % 26, f64::from(b % 700), ssd)
+        },
+        seed_jobs: 0,
+        seed_ssd: |_| 0.0,
+    };
+    // R = 4: nodes + burst buffer + SSD flavours + GPUs.
+    let model = ResourceModel::new(vec![
+        ResourceSpec::pooled("nodes", 20.0, DemandSlot::Nodes),
+        ResourceSpec::pooled("bb_gb", 500.0, DemandSlot::BbGb),
+        ResourceSpec::per_node(
+            "ssd",
+            FlavorSet::two_tier(SSD_SMALL_GB, 10, SSD_LARGE_GB, 10),
+            DemandSlot::SsdPerNode,
+        ),
+        ResourceSpec::pooled("gpus", 16.0, DemandSlot::Extra(0)),
+    ])
+    .expect("small 4-resource test model is valid");
+    let small_four = SystemUnderTest {
+        pool: PoolState::from_model(&model),
+        demand: |a, b, c| {
+            let ssd = if c % 3 == 0 { 0.0 } else { f64::from(c % 200) };
+            JobDemand::cpu_bb_ssd(1 + u32::from(a) % 22, f64::from(b % 600), ssd)
+                .with_extra(0, f64::from(c % 18))
+        },
+        seed_jobs: 0,
+        seed_ssd: |_| 0.0,
+    };
+    vec![pooled, pooled3, ssd, four, tiers, small_pooled, small_ssd, small_four]
 }
 
 /// Asserts the scanned query, its linear oracle and `LegacyProfile`
@@ -228,11 +281,13 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
     }
     mirror.sync(&ledger);
     mirror.fold_into(now, *ledger.pool(), &mut profile);
-    prop_assert!(
-        profile.times().len() >= DEEP_PROFILE_SEGMENTS,
-        "seed phase must grow a deep profile, got {} segments",
-        profile.times().len()
-    );
+    if sut.seed_jobs > 0 {
+        prop_assert!(
+            profile.times().len() >= DEEP_PROFILE_SEGMENTS,
+            "seed phase must grow a deep profile, got {} segments",
+            profile.times().len()
+        );
+    }
     let mut next_idx = sut.seed_jobs;
 
     for &(kind, a, b, c) in ops {
@@ -315,6 +370,15 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
             }
         }
     }
+    // Drain everything and fold once more: the empty-ledger profile must
+    // also match a from-scratch build.
+    for idx in running.drain(..) {
+        ledger.finish(idx);
+    }
+    mirror.sync(&ledger);
+    mirror.fold_into(now, *ledger.pool(), &mut profile);
+    let fresh = AvailabilityProfile::new(now, *ledger.pool(), ledger.release_schedule());
+    prop_assert_eq!(&profile, &fresh, "drained fold diverged");
     Ok(())
 }
 
@@ -322,9 +386,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
     /// The column scan is bit-identical to the linear oracles and to
-    /// `LegacyProfile`, and every profile is a snapshot/restore fixed
-    /// point, under random start/finish/reserve interleavings on pooled
-    /// and flavoured systems with 192-plus-segment profiles.
+    /// `LegacyProfile`, the incremental fold equals a from-scratch build,
+    /// and every profile is a snapshot/restore fixed point, under random
+    /// start/finish/reserve interleavings on pooled and flavoured
+    /// systems with 192-plus-segment and with shallow profiles.
     #[test]
     fn profile_evaluators_match_legacy(
         ops in proptest::collection::vec(

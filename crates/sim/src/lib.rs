@@ -15,26 +15,22 @@
 //!
 //! ## Architecture
 //!
-//! Since the service-core extraction, this crate is a *driver* of the
-//! scheduler-service core in `bbsched-sched`: the six-phase scheduling
-//! invocation, the queue, the allocation ledger, the backfilling
-//! strategies, and the observer callbacks all live there, behind the
-//! snapshot-in/decisions-out [`bbsched_sched::SchedCore`] API. What
-//! remains here is exactly the discrete-event machinery:
+//! This crate is a *driver* of the scheduler-service core in
+//! `bbsched-sched`: the six-phase scheduling invocation, the queue, the
+//! allocation ledger, backfilling, and the observer callbacks all live
+//! there, behind the snapshot-in/decisions-out
+//! [`bbsched_sched::SchedCore`] API. What remains here is the
+//! discrete-event machinery, all in [`simulator`]: configuration,
+//! trace-intake demand clamping, and the [`Simulator`] whose event loop
+//! merges the trace's arrivals with a completion-event heap and turns
+//! [`bbsched_sched::Decision::Start`]s into future completions.
 //!
-//! * [`engine`] — the event loop: virtual time, the completion-event
-//!   heap, and the translation of [`bbsched_sched::Decision::Start`]s
-//!   into future completion events; consumes arrivals from any sorted
-//!   iterator (traces can stream);
-//! * [`simulator`] — configuration, trace-intake demand clamping, and the
-//!   [`Simulator`] facade that wires a trace into the engine.
-//!
-//! Everything the core owns is re-exported here under its historical
-//! name ([`SimObserver`] for [`bbsched_sched::SchedObserver`],
-//! [`SimError`] for [`bbsched_sched::SchedError`], and the rest
-//! unchanged), so existing simulator clients and the frozen golden
-//! suites compile untouched. The second driver of the same core — the
-//! online streaming replayer behind `cli replay` — lives in
+//! The crate re-exports only the types its own signatures name
+//! ([`SimConfig`]'s field types and [`SimResult`]); everything else —
+//! observers ([`bbsched_sched::SchedObserver`]), errors
+//! ([`bbsched_sched::SchedError`]), records, the profile machinery —
+//! comes from `bbsched_sched`. The second driver of the same core, the
+//! online streaming replayer behind `bbsched serve`, lives in
 //! [`bbsched_sched::replay`]; both drivers emit byte-identical decision
 //! streams for the same events.
 //!
@@ -56,24 +52,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod engine;
 pub mod simulator;
 
-pub use engine::{Arrival, Engine, EngineSummary};
 pub use simulator::{SimConfig, Simulator};
 
-// The scheduling machinery moved to the service core; re-export it under
-// the names this crate always had so simulator clients keep compiling.
+// The types `SimConfig`'s fields and `Simulator`'s results name.
 pub use bbsched_sched::{
-    clamp_demand, shadow_and_leftover, AllocLedger, AvailabilityProfile, BackfillAlgorithm,
-    BackfillCtx, BackfillScope, BackfillStrategy, BaseScheduler, ConservativeBackfill, Decision,
-    DecisionLog, DynamicWindow, EasyBackfill, JobRecord, JobSet, JobStart, LedgerDelta,
-    LegacyProfile, QueueManager, Recorder, ReleaseMirror, RunningJob, SchedCore, SimResult,
-    StartReason,
+    BackfillAlgorithm, BackfillScope, BaseScheduler, DynamicWindow, SimResult,
 };
-
-/// The core's observer trait under its historical simulator name.
-pub use bbsched_sched::SchedObserver as SimObserver;
-
-/// The core's error type under its historical simulator name.
-pub use bbsched_sched::SchedError as SimError;

@@ -1,37 +1,42 @@
-//! Simulation configuration and the trace-driven [`Simulator`] facade.
+//! The trace-driven [`Simulator`]: configuration, demand clamping, and
+//! the discrete-event loop that drives the scheduler-service core.
 //!
-//! The discrete-event mechanics live in [`crate::engine`]; the scheduling
-//! logic itself lives in the service core (`bbsched-sched`). This module
-//! holds what surrounds them: [`SimConfig`] (validated up front, converted
-//! to a [`bbsched_sched::SchedConfig`] for the core), demand clamping
-//! against machine capacity via [`bbsched_sched::clamp_demand`], and
-//! [`Simulator`] — the compatibility wrapper that wires a
-//! [`bbsched_workloads::Trace`] into the engine with a [`crate::Recorder`]
-//! attached and returns the classic [`SimResult`]. Additional observers
-//! ride along via [`Simulator::run_observed`].
+//! The scheduling logic lives in the core
+//! ([`bbsched_sched::SchedCore`]): it owns the queue, the ledger, the
+//! backfill discipline, starvation bookkeeping and the policy, and decides
+//! *what* to do at each invocation. The simulator owns *when*: it
+//! advances virtual time along the merged stream of trace arrivals and
+//! completions, feeds both into the core, and applies the core's
+//! [`Decision::Start`]s by scheduling completion events at
+//! `start + runtime`. Everything observable flows out through
+//! [`SchedObserver`] callbacks; a [`Recorder`] rebuilds the classic
+//! [`SimResult`], and [`Simulator::run_observed`] attaches more observers
+//! beside it. The online replay driver ([`bbsched_sched::Replayer`],
+//! surfaced as `bbsched serve`) drives the same core from an event file
+//! and produces byte-identical decisions.
+//!
+//! Events at the same instant are drained as one batch before the
+//! invocation runs, so the schedule depends only on the set of
+//! same-instant events, never on their internal order.
 
-use crate::engine::{Arrival, Engine};
-use crate::{Recorder, SimError, SimObserver, SimResult};
 use bbsched_core::problem::JobDemand;
 use bbsched_core::window::WindowConfig;
 use bbsched_policies::SelectionPolicy;
 use bbsched_sched::{
-    clamp_demand, BackfillAlgorithm, BackfillScope, BaseScheduler, DynamicWindow, SchedConfig,
+    clamp_demand, BackfillAlgorithm, BackfillScope, BaseScheduler, Decision, DynamicWindow,
+    Recorder, SchedConfig, SchedCore, SchedError, SchedObserver, SimResult,
 };
 use bbsched_workloads::{SystemConfig, Trace};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Simulator configuration: the core's [`SchedConfig`] knobs plus the
-/// simulator-only `clamp_impossible` trace-intake policy.
+/// Simulator configuration: the core's [`SchedConfig`] knobs.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Base scheduler ordering the queue (FCFS for Cori, WFP for Theta).
     pub base: BaseScheduler,
     /// Window size and starvation bound (§3.1).
     pub window: WindowConfig,
-    /// Clamp jobs whose demand exceeds total capacity instead of erroring.
-    /// This governs trace intake only and never reaches the core (the
-    /// online replay driver always clamps).
-    pub clamp_impossible: bool,
     /// Maximum queued jobs examined per backfilling pass (guards the
     /// per-invocation cost on pathological queues; only relevant with
     /// [`BackfillScope::Queue`]).
@@ -47,9 +52,7 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The core configuration this simulator configuration describes —
-    /// everything except `clamp_impossible`, which is trace-intake policy,
-    /// not scheduling policy.
+    /// The core configuration this simulator configuration describes.
     pub fn sched(&self) -> SchedConfig {
         SchedConfig {
             base: self.base,
@@ -61,10 +64,10 @@ impl SimConfig {
         }
     }
 
-    /// Validates the whole configuration. Called by [`Simulator::new`] and
-    /// [`Engine::new`], so an invalid config is a typed [`SimError`], never
-    /// a mid-simulation panic.
-    pub fn validate(&self) -> Result<(), SimError> {
+    /// Validates the whole configuration. Called by [`Simulator::new`],
+    /// so an invalid config is a typed [`SchedError`], never a
+    /// mid-simulation panic.
+    pub fn validate(&self) -> Result<(), SchedError> {
         self.sched().validate()
     }
 }
@@ -75,7 +78,6 @@ impl Default for SimConfig {
         Self {
             base: core.base,
             window: core.window,
-            clamp_impossible: true,
             max_backfill_scan: core.max_backfill_scan,
             backfill: core.backfill,
             backfill_algorithm: core.backfill_algorithm,
@@ -84,18 +86,40 @@ impl Default for SimConfig {
     }
 }
 
+/// A completion event. Arrivals are not events — they come from the
+/// trace in submit order; only finishes need the heap, ordered by
+/// `(time, seq)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Finish {
+    time: f64,
+    seq: u64,
+    idx: usize,
+}
+
+impl Eq for Finish {}
+
+impl Ord for Finish {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.time.total_cmp(&other.time).then_with(|| self.seq.cmp(&other.seq))
+    }
+}
+
+impl PartialOrd for Finish {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The trace-driven cluster simulator. Construct with [`Simulator::new`],
 /// consume with [`Simulator::run`] (or [`Simulator::run_observed`] to
 /// attach extra observers).
 ///
-/// This is a compatibility facade over the driver API: it clamps the
-/// trace's demands to machine capacity, streams the jobs into an
-/// [`Engine`] (a discrete-event driver of the scheduler-service core)
-/// with a [`Recorder`] attached, and packages the recording as the
-/// classic [`SimResult`]. Code that needs finer-grained control — online
+/// It clamps the trace's demands to machine capacity once, then runs the
+/// discrete-event loop over a fresh [`SchedCore`] per run with a
+/// [`Recorder`] attached, and packages the recording as the classic
+/// [`SimResult`]. Code that needs finer-grained control — online
 /// submission, custom completion sources, raw decision streams — should
-/// drive [`bbsched_sched::SchedCore`] directly or use
-/// [`bbsched_sched::Replayer`].
+/// drive [`SchedCore`] directly or use [`bbsched_sched::Replayer`].
 pub struct Simulator<'t> {
     system: SystemConfig,
     trace: &'t Trace,
@@ -108,29 +132,22 @@ pub struct Simulator<'t> {
 impl<'t> Simulator<'t> {
     /// Prepares a simulation of `trace` on `system`.
     ///
-    /// Jobs whose demand can never fit the machine make the queue head
-    /// unschedulable and would deadlock any non-backfilling path; they are
-    /// clamped to capacity when `cfg.clamp_impossible` is set (the count is
-    /// reported in the result) and rejected with an error otherwise.
-    pub fn new(system: &SystemConfig, trace: &'t Trace, cfg: SimConfig) -> Result<Self, SimError> {
+    /// Jobs whose demand can never fit the machine would make the queue
+    /// head unschedulable and deadlock any non-backfilling path; they are
+    /// clamped to capacity (see [`clamp_demand`]) and counted in the
+    /// result's `clamped_jobs`.
+    pub fn new(
+        system: &SystemConfig,
+        trace: &'t Trace,
+        cfg: SimConfig,
+    ) -> Result<Self, SchedError> {
         system.validate()?;
         cfg.validate()?;
         let mut clamped = 0usize;
         let mut demands = Vec::with_capacity(trace.len());
         for job in trace.jobs() {
             let (d, job_clamped) = clamp_demand(system, job);
-            if job_clamped {
-                if !cfg.clamp_impossible {
-                    return Err(SimError::ImpossibleJob {
-                        id: job.id,
-                        system: system.name.clone(),
-                        nodes: job.nodes,
-                        bb_gb: job.bb_gb,
-                        ssd_gb_per_node: job.ssd_gb_per_node,
-                    });
-                }
-                clamped += 1;
-            }
+            clamped += usize::from(job_clamped);
             demands.push(d);
         }
         Ok(Self { system: system.clone(), trace, cfg, demands, clamped })
@@ -146,16 +163,6 @@ impl<'t> Simulator<'t> {
         self.clamped
     }
 
-    /// The trace's arrivals (job + clamped demand) in submit order.
-    fn arrivals(&self) -> impl Iterator<Item = Arrival> + '_ {
-        self.trace
-            .jobs()
-            .iter()
-            .cloned()
-            .zip(self.demands.iter().copied())
-            .map(|(job, demand)| Arrival { job, demand })
-    }
-
     /// Runs the simulation to completion under the given selection policy.
     /// Takes `&self`, so one prepared simulator (trace clamped once) can
     /// run many policies — the `compare` grid shares it by reference.
@@ -163,25 +170,24 @@ impl<'t> Simulator<'t> {
         self.run_observed(policy, &mut [])
     }
 
-    /// Runs the simulation with extra [`SimObserver`]s attached alongside
-    /// the result-collecting [`Recorder`].
+    /// Runs the simulation with extra [`SchedObserver`]s attached
+    /// alongside the result-collecting [`Recorder`].
     pub fn run_observed(
         &self,
         policy: Box<dyn SelectionPolicy>,
-        extra: &mut [&mut dyn SimObserver],
+        extra: &mut [&mut dyn SchedObserver],
     ) -> SimResult {
         let policy_name = policy.name().to_string();
         let mut recorder = Recorder::new();
         {
-            let mut observers: Vec<&mut dyn SimObserver> = Vec::with_capacity(1 + extra.len());
+            let mut observers: Vec<&mut dyn SchedObserver> = Vec::with_capacity(1 + extra.len());
             observers.push(&mut recorder);
             for o in extra.iter_mut() {
                 observers.push(&mut **o);
             }
-            let engine = Engine::new(&self.system, self.cfg.clone(), policy, observers)
+            let core = SchedCore::new(&self.system, self.cfg.sched(), policy, observers)
                 .expect("configuration validated at construction");
-            let summary = engine.run(self.arrivals());
-            debug_assert_eq!(summary.jobs, self.trace.len(), "every job must run exactly once");
+            self.drive(core);
         }
         recorder.into_result(
             policy_name,
@@ -190,12 +196,91 @@ impl<'t> Simulator<'t> {
             self.clamped,
         )
     }
+
+    /// The discrete-event loop: admits the trace's arrivals and applies
+    /// completions instant by instant, one invocation per instant, until
+    /// both run dry; then checks the drain invariants and fires
+    /// `on_sim_end`.
+    ///
+    /// # Panics
+    /// Panics if arrivals regress in time or reuse a job id, or (via the
+    /// ledger) on any resource-conservation violation.
+    fn drive(&self, mut core: SchedCore<'_>) {
+        let mut arrivals = self.trace.jobs().iter().zip(&self.demands).peekable();
+        let mut finishes: BinaryHeap<Reverse<Finish>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        // Start indices of the current invocation (reused buffer).
+        let mut started: Vec<usize> = Vec::new();
+        let mut last_submit = f64::NEG_INFINITY;
+        let mut makespan = 0.0f64;
+        loop {
+            // The next instant is the earlier of the next arrival and the
+            // next completion; the batch drain makes within-instant order
+            // immaterial.
+            let next_arrival = arrivals.peek().map(|(job, _)| job.submit);
+            let next_finish = finishes.peek().map(|Reverse(f)| f.time);
+            let now = match (next_arrival, next_finish) {
+                (None, None) => break,
+                (Some(a), None) => a,
+                (None, Some(f)) => f,
+                (Some(a), Some(f)) => a.min(f),
+            };
+
+            // Admit every arrival at this instant.
+            while let Some((job, &demand)) = arrivals.next_if(|(job, _)| job.submit <= now) {
+                assert!(
+                    job.submit >= last_submit,
+                    "arrivals must be sorted by submit time (job {} at {} after {})",
+                    job.id,
+                    job.submit,
+                    last_submit
+                );
+                last_submit = job.submit;
+                core.submit(job.clone(), demand).expect("trace reused a job id");
+            }
+
+            // Apply every completion at this instant.
+            while finishes.peek().is_some_and(|Reverse(f)| f.time <= now) {
+                let Reverse(f) = finishes.pop().expect("peeked finish vanished");
+                let id = core.job(f.idx).id;
+                core.job_finished(id, now).expect("completion event for a job not running");
+                makespan = makespan.max(now);
+            }
+
+            // One scheduling invocation (a no-op on an empty queue);
+            // apply its start decisions as future completion events.
+            started.clear();
+            started.extend(core.invoke(now).iter().filter_map(|d| match *d {
+                Decision::Start { idx, .. } => Some(idx),
+                Decision::Reserve { .. } => None,
+            }));
+            for &idx in &started {
+                let time = now + core.job(idx).runtime;
+                finishes.push(Reverse(Finish { time, seq, idx }));
+                seq += 1;
+            }
+        }
+        core.assert_drained();
+        debug_assert_eq!(
+            core.queue_len(),
+            0,
+            "{} jobs left waiting at drain (dependency cycle?)",
+            core.queue_len()
+        );
+        debug_assert_eq!(
+            core.jobs_submitted(),
+            self.trace.len(),
+            "every job must run exactly once"
+        );
+        core.end_of_stream(makespan);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bbsched_policies::{GaParams, PolicyKind};
+    use bbsched_sched::JobStart;
     use bbsched_workloads::Job;
 
     fn system(nodes: u32, bb_tb: f64) -> SystemConfig {
@@ -358,12 +443,44 @@ mod tests {
     }
 
     #[test]
-    fn impossible_job_errors_without_clamping() {
-        let sys = system(10, 1.0);
-        let jobs = vec![Job::new(0, 0.0, 100, 10.0, 10.0)];
+    fn multiple_observers_see_the_same_run() {
+        #[derive(Default)]
+        struct Counter {
+            starts: usize,
+            finishes: usize,
+            windows: usize,
+            sim_ends: usize,
+        }
+        impl SchedObserver for Counter {
+            fn on_job_started(&mut self, _s: &JobStart<'_>) {
+                self.starts += 1;
+            }
+            fn on_job_finished(&mut self, _n: f64, _j: &Job, _d: &JobDemand) {
+                self.finishes += 1;
+            }
+            fn on_window_built(&mut self, _n: f64, _w: &[u64]) {
+                self.windows += 1;
+            }
+            fn on_sim_end(&mut self, _m: f64, _i: u64) {
+                self.sim_ends += 1;
+            }
+        }
+        let sys = system(4, 1.0);
+        let jobs = (0..12u64).map(|i| Job::new(i, i as f64, 2, 20.0, 40.0)).collect();
         let trace = Trace::from_jobs(jobs).unwrap();
-        let cfg = SimConfig { clamp_impossible: false, ..SimConfig::default() };
-        assert!(Simulator::new(&sys, &trace, cfg).is_err());
+        let sim = Simulator::new(&sys, &trace, SimConfig::default()).unwrap();
+        let (mut first, mut second) = (Counter::default(), Counter::default());
+        let r = sim.run_observed(
+            PolicyKind::Baseline.build(GaParams::default()),
+            &mut [&mut first, &mut second],
+        );
+        for counter in [&first, &second] {
+            assert_eq!(counter.starts, 12);
+            assert_eq!(counter.finishes, 12);
+            assert_eq!(counter.sim_ends, 1);
+            assert_eq!(counter.windows as u64, r.invocations);
+        }
+        assert_eq!(r.records.len(), first.starts);
     }
 
     #[test]
@@ -436,7 +553,7 @@ mod tests {
             ..SimConfig::default()
         };
         match Simulator::new(&sys, &trace, cfg).map(|_| ()) {
-            Err(SimError::InvalidDynamicWindow(msg)) => {
+            Err(SchedError::InvalidDynamicWindow(msg)) => {
                 assert!(msg.contains("min"), "message should name the bad field: {msg}");
             }
             other => panic!("expected InvalidDynamicWindow, got {other:?}"),
@@ -448,7 +565,7 @@ mod tests {
         for frac in [f64::NAN, f64::INFINITY, -0.5] {
             let d = DynamicWindow { min: 1, max: 10, queue_fraction: frac };
             assert!(
-                matches!(d.validate(), Err(SimError::InvalidDynamicWindow(_))),
+                matches!(d.validate(), Err(SchedError::InvalidDynamicWindow(_))),
                 "fraction {frac} must be rejected"
             );
         }

@@ -1,4 +1,4 @@
-//! Engine invariants checked from the outside, through [`SimObserver`]
+//! Simulator invariants checked from the outside, through [`SchedObserver`]
 //! callbacks only: allocation conservation (every allocation is freed by
 //! the end) and availability bounds (free resources never go negative,
 //! never exceed capacity) hold at every observable instant.
@@ -11,7 +11,8 @@
 use bbsched_core::pools::{NodeAssignment, PoolState};
 use bbsched_core::problem::JobDemand;
 use bbsched_policies::{GaParams, PolicyKind};
-use bbsched_sim::{BackfillAlgorithm, BaseScheduler, JobStart, SimConfig, SimObserver, Simulator};
+use bbsched_sched::{JobStart, SchedObserver};
+use bbsched_sim::{BackfillAlgorithm, BaseScheduler, SimConfig, Simulator};
 use bbsched_workloads::{generate, GeneratorConfig, Job, MachineProfile, SystemConfig, Trace};
 
 /// Shadows the engine's resource accounting from observer callbacks alone
@@ -49,7 +50,7 @@ impl ConservationObserver {
     }
 }
 
-impl SimObserver for ConservationObserver {
+impl SchedObserver for ConservationObserver {
     fn on_job_started(&mut self, start: &JobStart<'_>) {
         self.starts += 1;
         assert!(

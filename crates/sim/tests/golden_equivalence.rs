@@ -4,9 +4,9 @@
 //! pre-refactor monolithic `Simulator::run` loop (heap of arrival+finish
 //! events, inline phases, `HashMap`-based running set with per-use
 //! re-sorting). Every test drives the same trace through the reference and
-//! through the new layered engine (`Simulator::run`, which wraps
-//! `Engine` + `Recorder`) and asserts the two [`SimResult`]s are
-//! **identical** — every record field, every counter.
+//! through the new layered engine (`Simulator::run`: the event loop over
+//! `SchedCore` with a `Recorder` attached) and asserts the two
+//! [`SimResult`]s are **identical** — every record field, every counter.
 //!
 //! Covered matrix: every main-roster [`PolicyKind`] × {FCFS, WFP} ×
 //! {EASY, conservative} on Cori-like and Theta-like synthetic traces,
@@ -18,9 +18,9 @@ use bbsched_core::problem::JobDemand;
 use bbsched_core::window::fill_window;
 use bbsched_core::window::StarvationTracker;
 use bbsched_policies::{GaParams, PolicyKind, SelectionPolicy};
+use bbsched_sched::{JobRecord, LegacyProfile, StartReason};
 use bbsched_sim::{
-    BackfillAlgorithm, BackfillScope, BaseScheduler, DynamicWindow, JobRecord, LegacyProfile,
-    SimConfig, SimResult, Simulator, StartReason,
+    BackfillAlgorithm, BackfillScope, BaseScheduler, DynamicWindow, SimConfig, SimResult, Simulator,
 };
 use bbsched_workloads::{generate, GeneratorConfig, Job, MachineProfile, SystemConfig, Trace};
 use std::cmp::Reverse;

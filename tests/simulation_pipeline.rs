@@ -4,7 +4,8 @@
 
 use bbsched::metrics::{MeasurementWindow, MethodSummary};
 use bbsched::policies::{GaParams, PolicyKind};
-use bbsched::sim::{BaseScheduler, JobRecord, SimConfig, SimResult, Simulator};
+use bbsched::sched::JobRecord;
+use bbsched::sim::{BaseScheduler, SimConfig, SimResult, Simulator};
 use bbsched::workloads::{generate, GeneratorConfig, MachineProfile, Workload};
 
 fn run(kind: PolicyKind, workload: Workload, n_jobs: usize) -> SimResult {
