@@ -75,20 +75,249 @@ use serde::{Deserialize, Serialize};
 /// Tolerance for "finishes before the shadow time" comparisons.
 pub(crate) const TIME_EPS: f64 = 1e-6;
 
-/// Fit bitmask of the 8-segment chunk starting at `i` on a two-column
-/// profile: bit `k` is set when segment `i + k` **fails** (`c0` short of
-/// `n0`, exact, or `c1` short of `n1` beyond [`FIT_EPS`] — the
-/// [`PoolState::free_fits`] comparisons). Branchless so the compiler can
-/// turn it into SIMD compares.
-#[inline]
-fn scan_fail_mask8(c0: &[f64], c1: &[f64], n0: f64, n1: f64, i: usize) -> u32 {
-    let a = &c0[i..i + 8];
-    let b = &c1[i..i + 8];
-    let mut m = 0u32;
-    for k in 0..8 {
-        m |= u32::from((a[k] < n0) | (b[k] + FIT_EPS < n1)) << k;
+/// One candidate's fit test over a profile's columns, restricted to the
+/// columns that can fail it (see [`AvailabilityProfile::binding`]): the
+/// [`PoolState::free_fits`] comparisons, the node column (column 0)
+/// exactly and every other column within [`FIT_EPS`]. The column scan's
+/// walks are generic over it, so each binding shape gets its own
+/// instantiation.
+trait FailTest {
+    /// Fail bitmask of the 8 segments from `i`: bit `k` is set when
+    /// segment `i + k` fails. Branchless so the compiler can turn it into
+    /// SIMD compares.
+    fn mask8(&self, i: usize) -> u32;
+    /// Whether segment `i` fails.
+    fn fails(&self, i: usize) -> bool;
+}
+
+/// The node column alone binds: the test of a burst-buffer-free demand
+/// on a CPU + burst-buffer machine whose burst-buffer column holds no
+/// negative value.
+struct NodeColumn<'a> {
+    c0: &'a [f64],
+    n0: f64,
+}
+
+impl FailTest for NodeColumn<'_> {
+    #[inline]
+    fn mask8(&self, i: usize) -> u32 {
+        let a = &self.c0[i..i + 8];
+        let mut m = 0u32;
+        for (k, &v) in a.iter().enumerate() {
+            m |= u32::from(v < self.n0) << k;
+        }
+        m
     }
-    m
+
+    #[inline]
+    fn fails(&self, i: usize) -> bool {
+        self.c0[i] < self.n0
+    }
+}
+
+/// The node column and one further column `c1` bind: the paper's CPU +
+/// burst-buffer test.
+struct NodeAndColumn<'a> {
+    c0: &'a [f64],
+    c1: &'a [f64],
+    n0: f64,
+    n1: f64,
+}
+
+impl FailTest for NodeAndColumn<'_> {
+    #[inline]
+    fn mask8(&self, i: usize) -> u32 {
+        let a = &self.c0[i..i + 8];
+        let b = &self.c1[i..i + 8];
+        let mut m = 0u32;
+        for k in 0..8 {
+            m |= u32::from((a[k] < self.n0) | (b[k] + FIT_EPS < self.n1)) << k;
+        }
+        m
+    }
+
+    #[inline]
+    fn fails(&self, i: usize) -> bool {
+        (self.c0[i] < self.n0) | (self.c1[i] + FIT_EPS < self.n1)
+    }
+}
+
+/// Any other binding set, built one column at a time.
+struct BindingColumns<'a> {
+    cols: &'a [Vec<f64>],
+    need: &'a [f64; MAX_COLS],
+    bind: &'a [usize],
+}
+
+impl FailTest for BindingColumns<'_> {
+    #[inline]
+    fn mask8(&self, i: usize) -> u32 {
+        let mut m = 0u32;
+        for &j in self.bind {
+            let (col, n) = (&self.cols[j][i..i + 8], self.need[j]);
+            let eps = if j == 0 { 0.0 } else { FIT_EPS };
+            for (k, &v) in col.iter().enumerate() {
+                m |= u32::from(v + eps < n) << k;
+            }
+        }
+        m
+    }
+
+    #[inline]
+    fn fails(&self, i: usize) -> bool {
+        self.bind.iter().any(|&j| {
+            let eps = if j == 0 { 0.0 } else { FIT_EPS };
+            self.cols[j][i] + eps < self.need[j]
+        })
+    }
+}
+
+/// First segment in `[i, lim)` that fails `test`, or `lim`.
+fn next_fail(test: &impl FailTest, mut i: usize, lim: usize) -> usize {
+    while i + 8 <= lim {
+        let m = test.mask8(i);
+        if m != 0 {
+            return i + m.trailing_zeros() as usize;
+        }
+        i += 8;
+    }
+    (i..lim).find(|&j| test.fails(j)).unwrap_or(lim)
+}
+
+/// First segment in `[i, lim)` that fits `test`, or `lim`.
+fn next_fit(test: &impl FailTest, mut i: usize, lim: usize) -> usize {
+    while i + 8 <= lim {
+        let m = test.mask8(i);
+        if m != 0xFF {
+            return i + (!m).trailing_zeros() as usize;
+        }
+        i += 8;
+    }
+    (i..lim).find(|&j| !test.fails(j)).unwrap_or(lim)
+}
+
+/// Evaluates `$body` with `$test` bound to the [`FailTest`] of the
+/// thresholds `$th` on profile `$p`, instantiated for the binding shape:
+/// the node column alone, the node column and one more, or any other set.
+macro_rules! with_fail_test {
+    ($p:expr, $th:expr, $test:ident => $body:expr) => {{
+        let (p, th): (&AvailabilityProfile, &Thresholds<'_>) = ($p, $th);
+        let n = p.times.len();
+        let (bind, len) = p.binding(&th.need);
+        match bind[..len] {
+            [0] => {
+                let $test = NodeColumn { c0: &p.cols[0][..n], n0: th.need[0] };
+                $body
+            }
+            [0, j] => {
+                let $test = NodeAndColumn {
+                    c0: &p.cols[0][..n],
+                    c1: &p.cols[j][..n],
+                    n0: th.need[0],
+                    n1: th.need[j],
+                };
+                $body
+            }
+            ref bind => {
+                let $test = BindingColumns { cols: &p.cols, need: &th.need, bind };
+                $body
+            }
+        }
+    }};
+}
+
+/// The column scan's candidate walk over the boundaries `times`, from
+/// `from` with `i` the rank of the first boundary after it: the earliest
+/// slot as `(t, lo, hi)` (see [`AvailabilityProfile::earliest_slot`]).
+/// The candidate's rank `k` is carried along, and at acceptance the
+/// insertion rank of its end is counted over the at most eight
+/// boundaries the sweep skipped unchecked (`end_rank`), so the slot
+/// costs no binary search.
+fn walk_slot(
+    times: &[f64],
+    test: &impl FailTest,
+    from: f64,
+    mut i: usize,
+    duration: f64,
+) -> (f64, usize, usize) {
+    let n = times.len();
+    let never = (f64::INFINITY, n, n);
+    // `k` is the rank of the candidate's segment, `i` the first boundary
+    // after the candidate.
+    let mut k = i.saturating_sub(1);
+    let mut cand = from;
+    if test.fails(k) {
+        // `from` fails in its own segment: advance to the first breakpoint
+        // whose segment fits.
+        i = next_fit(test, i, n);
+        if i == n {
+            return never;
+        }
+        k = i;
+        cand = times[i];
+        i += 1;
+    }
+    'candidate: loop {
+        let end = cand + duration;
+        while i + 8 <= n {
+            if times[i] >= end {
+                // The candidate's window closed with no block.
+                return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
+            }
+            let m = test.mask8(i);
+            if m != 0 {
+                let b = m.trailing_zeros();
+                if times[i + b as usize] >= end {
+                    return (cand, k, end_rank(times, end, i));
+                }
+                // Segment b blocks every candidate in (cand, times[b]]:
+                // jump to the next fit, from the same chunk's mask when it
+                // holds one.
+                let fit = !m & 0xFF & (u32::MAX << (b + 1));
+                i = if fit != 0 {
+                    i + fit.trailing_zeros() as usize
+                } else {
+                    next_fit(test, i + 8, n)
+                };
+                if i == n {
+                    return never;
+                }
+                k = i;
+                cand = times[i];
+                i += 1;
+                continue 'candidate;
+            }
+            i += 8;
+        }
+        while i < n {
+            if times[i] >= end {
+                return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
+            }
+            if test.fails(i) {
+                i = next_fit(test, i + 1, n);
+                if i == n {
+                    return never;
+                }
+                k = i;
+                cand = times[i];
+                i += 1;
+                continue 'candidate;
+            }
+            i += 1;
+        }
+        return (cand, k, end_rank(times, end, n.saturating_sub(8).max(k)));
+    }
+}
+
+/// A candidate's demand with its per-column fit thresholds
+/// ([`AvailabilityProfile::thresholds`]), shared by its query and its
+/// carve.
+pub(crate) struct Thresholds<'d> {
+    d: &'d JobDemand,
+    /// Column `j`'s threshold; `-inf` where the demand needs nothing.
+    need: [f64; MAX_COLS],
+    /// The flavour class of the per-node demand, on flavoured machines.
+    class: Option<usize>,
 }
 
 /// Insertion rank of `end` in the ascending `times`, counted branchlessly
@@ -477,23 +706,25 @@ impl ConservativeBackfill {
             let walltime = ctx.walltime(idx).max(1.0);
             // The candidate step: the bound carries the rank of its
             // boundary into the query, and the query hands the slot's
-            // ranks to the carve, so no step searches `times`. A carve
-            // that splits in the reservation's end moves the memo's ranks
-            // beyond it.
+            // ranks to the carve, so no step searches `times`; both use
+            // the thresholds computed here. A carve that splits in the
+            // reservation's end moves the memo's ranks beyond it.
             let (from, rank) = self.memo.bound(&d, walltime, ctx.now);
-            let (t, lo, hi) = if from.is_finite() {
-                self.profile.earliest_slot(&d, from, rank + 1, walltime)
-            } else {
-                (from, rank, rank)
-            };
-            if t.is_finite() {
-                debug_assert_eq!(self.profile.times()[lo], t, "a pass answer is a boundary");
-                if self.profile.carve(&d, lo, hi, t + walltime) {
-                    self.memo.shift_ranks(hi);
+            let (t, lo) = if from.is_finite() {
+                let th = self.profile.thresholds(&d);
+                let (t, lo, hi) = self.profile.earliest_slot(&th, from, rank + 1, walltime);
+                if t.is_finite() {
+                    debug_assert_eq!(self.profile.times()[lo], t, "a pass answer is a boundary");
+                    if self.profile.carve(&th, lo, hi, t + walltime) {
+                        self.memo.shift_ranks(hi);
+                    }
+                    #[cfg(debug_assertions)]
+                    self.memo.assert_ranks(self.profile.times());
                 }
-                #[cfg(debug_assertions)]
-                self.memo.assert_ranks(self.profile.times());
-            }
+                (t, lo)
+            } else {
+                (from, rank)
+            };
             if t <= ctx.now + TIME_EPS && ctx.pool().fits(&d) {
                 // Started now; the carve above consumed from the
                 // profile's "now" segments too. The start bumps the
@@ -986,11 +1217,15 @@ fn pooled_resources(machine: &PoolState) -> impl Iterator<Item = usize> {
 /// a sufficient flavour; the `FIT_EPS` compare is exact on integer-valued
 /// columns). So one evaluator answers every query, the **column scan**: a
 /// branchless 8-wide chunked compare over the columns that can fail the
-/// demand (all pooled columns plus the one suffix column of its flavour
-/// class; `scan_fail_mask8` for the two-column CPU + burst-buffer layout,
-/// compiled to SIMD), with window boundaries checked once per chunk
-/// rather than once per candidate. Debug builds cross-check every scan answer against the
-/// linear walk over materialized states
+/// demand, with window boundaries checked once per chunk rather than once
+/// per candidate. The columns that can fail it are the pooled columns
+/// plus the one suffix column of its flavour class, less any column that
+/// holds no negative value where the demand's threshold is `<= 0` (the
+/// profile keeps that fact per column). The node column alone (a
+/// burst-buffer-free demand on the paper's CPU + burst-buffer machine)
+/// and the node column plus one more have their own instantiations of
+/// the scan, compiled to SIMD. Debug builds cross-check every scan answer
+/// against the linear walk over materialized states
 /// ([`AvailabilityProfile::fits_interval_linear`],
 /// [`AvailabilityProfile::earliest_start_linear`]).
 #[derive(Clone, Debug)]
@@ -1011,6 +1246,12 @@ pub struct AvailabilityProfile {
     /// (reset by a fold, raised to a carve's end rank, shifted by split-in
     /// boundaries and origin advances) so snapshots stay byte-identical.
     skyline_clean_from: usize,
+    /// Bit `j` is set when no value of column `j` is negative (see
+    /// [`AvailabilityProfile::binding`]). The fold and `restore` compute
+    /// it, a carve clears a column's bit when it drives a value of that
+    /// column below zero, and dropping or duplicating segments keeps it.
+    /// Never serialized.
+    nonneg: u32,
 }
 
 impl Default for AvailabilityProfile {
@@ -1023,6 +1264,7 @@ impl Default for AvailabilityProfile {
             cols: Vec::new(),
             machine: PoolState::cpu_bb(0, 0.0),
             skyline_clean_from: 0,
+            nonneg: 0,
         }
     }
 }
@@ -1064,7 +1306,8 @@ impl AvailabilityProfile {
     /// bit for bit — boundaries beyond `now` are untouched, the origin
     /// segment's counters already accumulate the releases a refold would
     /// clamp into the origin, and the watermark shifts with the dropped
-    /// segment count (its index-shifted evolution is identical).
+    /// segment count (its index-shifted evolution is identical). Dropping
+    /// segments keeps every column's non-negativity bit true.
     ///
     /// Returns `false` without mutating when the advance cannot
     /// reproduce the refold exactly: a boundary inside `(now, now +
@@ -1097,8 +1340,9 @@ impl AvailabilityProfile {
     /// Refolds the profile in place from releases **already sorted**
     /// ascending by time (ties in any deterministic order; times below
     /// `now` are clamped to it, which preserves sortedness). Reuses the
-    /// internal buffers — no allocation once capacity is warm — and
-    /// resets the watermark. This is the incremental path's fold:
+    /// internal buffers — no allocation once capacity is warm — resets the
+    /// watermark and recomputes the columns' non-negativity bits. This is
+    /// the incremental path's fold:
     /// bit-identical to [`AvailabilityProfile::new`] on the same releases.
     ///
     /// # Panics
@@ -1135,6 +1379,7 @@ impl AvailabilityProfile {
             }
             self.push_segment(&acc);
         }
+        self.nonneg = self.nonneg_mask();
     }
 
     /// Number of pooled-resource columns; the flavour suffix columns
@@ -1248,7 +1493,7 @@ impl AvailabilityProfile {
     /// candidate). Returns `f64::INFINITY` if it never fits. The column
     /// scan answers, with the linear walk as its debug-build oracle.
     pub fn earliest_start(&self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        self.earliest_slot(d, from, self.next_boundary(from), duration).0
+        self.earliest_slot(&self.thresholds(d), from, self.next_boundary(from), duration).0
     }
 
     /// Rank of the first boundary strictly after `from` — where a walk
@@ -1265,8 +1510,8 @@ impl AvailabilityProfile {
         self.times.partition_point(|x| *x < t)
     }
 
-    /// The earliest slot `>= from` for `d` over `duration`, as `(t, lo,
-    /// hi)`: `t` is [`AvailabilityProfile::earliest_start`]'s answer, `lo`
+    /// The earliest slot `>= from` over `duration` for the demand with
+    /// thresholds `th`, as `(t, lo, hi)`: `t` is [`AvailabilityProfile::earliest_start`]'s answer, `lo`
     /// the rank of the segment starting at (or, for a non-boundary
     /// `from`, containing) `t`, and `hi` the insertion rank of `t +
     /// duration` — exactly the ranks [`AvailabilityProfile::carve`]
@@ -1276,14 +1521,18 @@ impl AvailabilityProfile {
     /// `times` at all.
     pub(crate) fn earliest_slot(
         &self,
-        d: &JobDemand,
+        th: &Thresholds<'_>,
         from: f64,
         next: usize,
         duration: f64,
     ) -> (f64, usize, usize) {
         debug_assert_eq!(next, self.next_boundary(from), "carried rank of `from` is stale");
-        let slot = self.scan_slot(d, from, next, duration);
-        debug_assert_eq!(slot.0.to_bits(), self.earliest_start_linear(d, from, duration).to_bits());
+        debug_assert_eq!(self.nonneg & !self.nonneg_mask(), 0, "a non-negativity bit is stale");
+        let slot = self.scan_slot(th, from, next, duration);
+        debug_assert_eq!(
+            slot.0.to_bits(),
+            self.earliest_start_linear(th.d, from, duration).to_bits()
+        );
         debug_assert_eq!(
             (slot.1, slot.2),
             if slot.0.is_finite() {
@@ -1358,285 +1607,82 @@ impl AvailabilityProfile {
     /// FIT_EPS >= need[j]` for every further column — the comparisons of
     /// [`PoolState::free_fits`], in the same floating-point arithmetic.
     /// A per-node demand of flavour class `c` needs `d.nodes` in suffix
-    /// column `c`; the other suffix columns need nothing.
+    /// column `c`; the other suffix columns need nothing. Computed once
+    /// per candidate: its query and its carve share them.
     #[inline]
-    fn scan_need(&self, d: &JobDemand) -> [f64; MAX_COLS] {
+    pub(crate) fn thresholds<'d>(&self, d: &'d JobDemand) -> Thresholds<'d> {
         let mut need = [f64::NEG_INFINITY; MAX_COLS];
         for (n, r) in need.iter_mut().zip(pooled_resources(&self.machine)) {
             *n = self.machine.demand_of(d, r);
         }
+        let mut class = None;
         if let (Some(pr), Some(flavors)) = (self.machine.per_node_index(), self.machine.flavors()) {
-            let class = flavors.class_of(self.machine.demand_of(d, pr));
-            debug_assert!(class < flavors.len());
-            need[self.pooled_cols() + class] = f64::from(d.nodes);
+            let c = flavors.class_of(self.machine.demand_of(d, pr));
+            debug_assert!(c < flavors.len());
+            need[self.pooled_cols() + c] = f64::from(d.nodes);
+            class = Some(c);
         }
-        need
+        Thresholds { d, need, class }
     }
 
-    /// Whether segment `j` fails the demand whose thresholds are `need`.
+    /// The columns that can fail a demand with thresholds `need`,
+    /// ascending, and how many there are. A column drops out when its
+    /// threshold is `-inf` (a suffix column outside the demand's flavour
+    /// class) or when it holds no negative value and its threshold is
+    /// `<= 0`: then every value `c` passes, `c >= 0 >= need` on the node
+    /// column and `c + FIT_EPS >= FIT_EPS > 0 >= need` on the others.
     #[inline]
-    fn scan_fails_at(&self, need: &[f64; MAX_COLS], j: usize) -> bool {
-        if self.cols[0][j] < need[0] {
-            return true;
-        }
-        for (col, &n) in self.cols.iter().zip(need.iter()).skip(1) {
-            if col[j] + FIT_EPS < n {
-                return true;
+    fn binding(&self, need: &[f64; MAX_COLS]) -> ([usize; MAX_COLS], usize) {
+        let mut bind = [0; MAX_COLS];
+        let mut len = 0;
+        for (j, &n) in need.iter().enumerate().take(self.cols.len()) {
+            let slack = self.nonneg & (1 << j) != 0 && n <= 0.0;
+            if n != f64::NEG_INFINITY && !slack {
+                bind[len] = j;
+                len += 1;
             }
         }
-        false
+        (bind, len)
     }
 
-    /// Fail bitmask of the 8 segments from `i` (bit `k` set when segment
-    /// `i + k` fails `need`), for widths other than two: built one column
-    /// at a time, each a branchless 8-wide compare. Columns with a `-inf`
-    /// threshold cannot fail (the suffix columns outside the demand's
-    /// flavour class) and are skipped.
-    #[inline]
-    fn scan_mask8(&self, need: &[f64; MAX_COLS], i: usize) -> u32 {
-        let mut m = 0u32;
-        for (k, &v) in self.cols[0][i..i + 8].iter().enumerate() {
-            m |= u32::from(v < need[0]) << k;
-        }
-        for (col, &n) in self.cols.iter().zip(need).skip(1) {
-            if n == f64::NEG_INFINITY {
-                continue;
-            }
-            for (k, &v) in col[i..i + 8].iter().enumerate() {
-                m |= u32::from(v + FIT_EPS < n) << k;
-            }
-        }
-        m
-    }
-
-    /// First segment in `[i, lim)` that fails `need`, or `lim`. The
-    /// two-resource layout (the paper's CPU + burst-buffer machine) runs
-    /// as a chunked branchless compare over the columns so the compiler
-    /// can vectorize it; other widths go chunk by chunk through
-    /// `scan_mask8`.
-    fn scan_next_fail(&self, need: &[f64; MAX_COLS], mut i: usize, lim: usize) -> usize {
-        if self.cols.len() == 2 && i < lim {
-            let c0 = &self.cols[0][..lim];
-            let c1 = &self.cols[1][..lim];
-            let (n0, n1) = (need[0], need[1]);
-            const W: usize = 8;
-            while i + W <= lim {
-                let a = &c0[i..i + W];
-                let b = &c1[i..i + W];
-                let mut any = false;
-                for k in 0..W {
-                    any |= (a[k] < n0) | (b[k] + FIT_EPS < n1);
-                }
-                if any {
-                    break;
-                }
-                i += W;
-            }
-            while i < lim {
-                if (c0[i] < n0) | (c1[i] + FIT_EPS < n1) {
-                    return i;
-                }
-                i += 1;
-            }
-            return lim;
-        }
-        while i + 8 <= lim {
-            let m = self.scan_mask8(need, i);
-            if m != 0 {
-                return i + m.trailing_zeros() as usize;
-            }
-            i += 8;
-        }
-        while i < lim {
-            if self.scan_fails_at(need, i) {
-                return i;
-            }
-            i += 1;
-        }
-        lim
-    }
-
-    /// First segment in `[i, lim)` that fits `need`, or `lim`.
-    fn scan_next_fit(&self, need: &[f64; MAX_COLS], mut i: usize, lim: usize) -> usize {
-        if self.cols.len() == 2 && i < lim {
-            let c0 = &self.cols[0][..lim];
-            let c1 = &self.cols[1][..lim];
-            let (n0, n1) = (need[0], need[1]);
-            const W: usize = 8;
-            while i + W <= lim {
-                let a = &c0[i..i + W];
-                let b = &c1[i..i + W];
-                let mut all_fail = true;
-                for k in 0..W {
-                    all_fail &= (a[k] < n0) | (b[k] + FIT_EPS < n1);
-                }
-                if !all_fail {
-                    break;
-                }
-                i += W;
-            }
-            while i < lim {
-                if !((c0[i] < n0) | (c1[i] + FIT_EPS < n1)) {
-                    return i;
-                }
-                i += 1;
-            }
-            return lim;
-        }
-        while i + 8 <= lim {
-            let m = self.scan_mask8(need, i);
-            if m != 0xFF {
-                return i + (!m).trailing_zeros() as usize;
-            }
-            i += 8;
-        }
-        while i < lim {
-            if !self.scan_fails_at(need, i) {
-                return i;
-            }
-            i += 1;
-        }
-        lim
+    /// The columns' non-negativity bits, recomputed from their values:
+    /// bit `j` is set when no value of column `j` is negative.
+    fn nonneg_mask(&self) -> u32 {
+        self.cols
+            .iter()
+            .enumerate()
+            .fold(0, |m, (j, col)| m | u32::from(!col.iter().any(|&v| v < 0.0)) << j)
     }
 
     /// Column-scan `fits_interval`: same walk as
     /// [`AvailabilityProfile::fits_interval_linear`], with the in-window
-    /// segment sweep vectorized over the columns.
+    /// segment sweep vectorized over the binding columns.
     fn fits_interval_scan(&self, d: &JobDemand, start: f64, duration: f64) -> bool {
         let end = start + duration;
-        let need = self.scan_need(d);
-        if self.scan_fails_at(&need, self.seg_index(start)) {
-            return false;
-        }
+        let th = self.thresholds(d);
+        let first = self.seg_index(start);
         // First boundary strictly greater than `start`; scan stops at the
         // first boundary at or beyond the interval's end.
         let i = self.times.partition_point(|t| *t <= start);
         let lim = i + self.times[i..].partition_point(|t| *t < end);
-        self.scan_next_fail(&need, i, lim) == lim
+        with_fail_test!(self, &th, test => !test.fails(first) && next_fail(&test, i, lim) == lim)
     }
 
     /// Column-scan slot query behind [`AvailabilityProfile::earliest_slot`]:
     /// the same candidate-advancing walk as
     /// [`AvailabilityProfile::earliest_start_linear`] — each segment is
     /// still visited at most once — but the forward sweep evaluates the
-    /// fit predicate as a branchless 8-segment bitmask over the columns,
-    /// with the window boundary checked once per chunk instead of once
-    /// per segment. The two-column layout (the paper's CPU + burst-buffer
-    /// machine) gets its own instantiation of the walk, so the compiler
-    /// can vectorize its mask.
+    /// fit predicate as a branchless 8-segment bitmask over the binding
+    /// columns, with the window boundary checked once per chunk instead
+    /// of once per segment.
     fn scan_slot(
         &self,
-        d: &JobDemand,
+        th: &Thresholds<'_>,
         from: f64,
         next: usize,
         duration: f64,
     ) -> (f64, usize, usize) {
-        let need = self.scan_need(d);
-        if self.cols.len() == 2 {
-            let n = self.times.len();
-            let (c0, c1) = (&self.cols[0][..n], &self.cols[1][..n]);
-            let (n0, n1) = (need[0], need[1]);
-            return self.scan_candidates(
-                &need,
-                from,
-                next,
-                duration,
-                |i| scan_fail_mask8(c0, c1, n0, n1, i),
-                |i| (c0[i] < n0) | (c1[i] + FIT_EPS < n1),
-            );
-        }
-        self.scan_candidates(
-            &need,
-            from,
-            next,
-            duration,
-            |i| self.scan_mask8(&need, i),
-            |i| self.scan_fails_at(&need, i),
-        )
-    }
-
-    /// The scan's candidate walk over a chunk fail mask `mask8` and a
-    /// single-segment `fails` test. The candidate's rank `k` is carried
-    /// along, and at acceptance the insertion rank of its end is counted
-    /// over the at most eight boundaries the sweep skipped unchecked
-    /// (`end_rank`), so the slot costs no binary search.
-    fn scan_candidates(
-        &self,
-        need: &[f64; MAX_COLS],
-        from: f64,
-        mut i: usize,
-        duration: f64,
-        mask8: impl Fn(usize) -> u32,
-        fails: impl Fn(usize) -> bool,
-    ) -> (f64, usize, usize) {
-        let n = self.times.len();
-        let times = &self.times[..n];
-        let never = (f64::INFINITY, n, n);
-        // `k` is the rank of the candidate's segment, `i` the first
-        // boundary after the candidate.
-        let mut k = i.saturating_sub(1);
-        let mut cand = from;
-        if fails(k) {
-            // `from` fails in its own segment: advance to the first
-            // breakpoint whose segment fits.
-            i = self.scan_next_fit(need, i, n);
-            if i == n {
-                return never;
-            }
-            k = i;
-            cand = times[i];
-            i += 1;
-        }
-        'candidate: loop {
-            let end = cand + duration;
-            while i + 8 <= n {
-                if times[i] >= end {
-                    // The candidate's window closed with no block.
-                    return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
-                }
-                let m = mask8(i);
-                if m != 0 {
-                    let b = m.trailing_zeros();
-                    if times[i + b as usize] >= end {
-                        return (cand, k, end_rank(times, end, i));
-                    }
-                    // Segment b blocks every candidate in (cand,
-                    // times[b]]: jump to the next fit, from the same
-                    // chunk's mask when it holds one.
-                    let fit = !m & 0xFF & (u32::MAX << (b + 1));
-                    i = if fit != 0 {
-                        i + fit.trailing_zeros() as usize
-                    } else {
-                        self.scan_next_fit(need, i + 8, n)
-                    };
-                    if i == n {
-                        return never;
-                    }
-                    k = i;
-                    cand = times[i];
-                    i += 1;
-                    continue 'candidate;
-                }
-                i += 8;
-            }
-            while i < n {
-                if times[i] >= end {
-                    return (cand, k, end_rank(times, end, i.saturating_sub(8).max(k)));
-                }
-                if fails(i) {
-                    i = self.scan_next_fit(need, i + 1, n);
-                    if i == n {
-                        return never;
-                    }
-                    k = i;
-                    cand = times[i];
-                    i += 1;
-                    continue 'candidate;
-                }
-                i += 1;
-            }
-            return (cand, k, end_rank(times, end, n.saturating_sub(8).max(k)));
-        }
+        with_fail_test!(self, th, test => walk_slot(&self.times, &test, from, next, duration))
     }
 
     /// Carves a reservation for `d` over `[start, start + duration)`: a
@@ -1652,7 +1698,7 @@ impl AvailabilityProfile {
         let end = start + duration;
         let lo = self.split_at(start);
         let hi = lo + self.times[lo..].partition_point(|t| *t < end);
-        self.carve(d, lo, hi, end);
+        self.carve(&self.thresholds(d), lo, hi, end);
     }
 
     /// Finds the earliest start `>= from` for `d` over `duration` and
@@ -1664,10 +1710,11 @@ impl AvailabilityProfile {
     /// again — the conservative planner's candidate step, which calls the
     /// rank-taking pair directly.
     pub fn reserve_earliest(&mut self, d: &JobDemand, from: f64, duration: f64) -> f64 {
-        let (t, lo, hi) = self.earliest_slot(d, from, self.next_boundary(from), duration);
+        let th = self.thresholds(d);
+        let (t, lo, hi) = self.earliest_slot(&th, from, self.next_boundary(from), duration);
         if t.is_finite() {
             if self.times[lo] == t {
-                self.carve(d, lo, hi, t + duration);
+                self.carve(&th, lo, hi, t + duration);
             } else {
                 // `t` is `from` itself, strictly inside segment `lo`: the
                 // wrapper splits it in first.
@@ -1677,7 +1724,8 @@ impl AvailabilityProfile {
         t
     }
 
-    /// Carves `d` out of segments `lo..hi`: `lo` is the rank of the
+    /// Carves the demand with thresholds `th` out of segments `lo..hi`:
+    /// `lo` is the rank of the
     /// reservation's start boundary and `hi` the insertion rank of its
     /// `end`. Splits `end` in at `hi` when it is not already a boundary,
     /// and returns whether it did — ranks at or beyond `hi` then moved
@@ -1691,38 +1739,51 @@ impl AvailabilityProfile {
     /// suffix `S_k` with `k ≤ c`, and from a suffix above `c` whatever
     /// overflows the flavours below it, `max(0, n − (S_c − S_k))`. So the
     /// materialized states are bit-identical to allocating on each
-    /// segment's state.
-    pub(crate) fn carve(&mut self, d: &JobDemand, lo: usize, hi: usize, end: f64) -> bool {
+    /// segment's state. A pooled column whose demand is `+0.0` is skipped
+    /// (`v - 0.0` is `v`, bit for bit), and a column the carve drives
+    /// below zero loses its non-negativity bit.
+    pub(crate) fn carve(&mut self, th: &Thresholds<'_>, lo: usize, hi: usize, end: f64) -> bool {
         let split = lo < hi && end.is_finite() && self.times.get(hi) != Some(&end);
         if split {
             self.insert_boundary(hi, end);
         }
         let pooled = self.pooled_cols();
+        let mut nonneg = self.nonneg;
         let (amounts, suffixes) = self.cols.split_at_mut(pooled);
-        for (col, r) in amounts.iter_mut().zip(pooled_resources(&self.machine)) {
-            let demand = self.machine.demand_of(d, r);
+        for (j, (col, &demand)) in amounts.iter_mut().zip(&th.need).enumerate() {
+            if demand == 0.0 && demand.is_sign_positive() {
+                continue;
+            }
+            let mut neg = false;
             for v in &mut col[lo..hi] {
                 *v -= demand;
+                neg |= *v < 0.0;
             }
+            nonneg &= !(u32::from(neg) << j);
         }
-        if let (Some(pr), Some(flavors)) = (self.machine.per_node_index(), self.machine.flavors()) {
-            let class = flavors.class_of(self.machine.demand_of(d, pr));
-            debug_assert!(class < flavors.len());
-            let n = f64::from(d.nodes);
+        if let Some(class) = th.class {
+            let n = f64::from(th.d.nodes);
             let (upto, above) = suffixes.split_at_mut(class + 1);
             let sc = &upto[class][lo..hi];
             debug_assert!(sc.iter().all(|&s| s >= n), "carve of a non-fitting flavour demand");
-            for col in above {
+            for (k, col) in above.iter_mut().enumerate() {
+                let mut neg = false;
                 for (s, &c) in col[lo..hi].iter_mut().zip(sc) {
                     *s -= (n - (c - *s)).max(0.0);
+                    neg |= *s < 0.0;
                 }
+                nonneg &= !(u32::from(neg) << (pooled + class + 1 + k));
             }
-            for col in upto {
+            for (k, col) in upto.iter_mut().enumerate() {
+                let mut neg = false;
                 for s in &mut col[lo..hi] {
                     *s -= n;
+                    neg |= *s < 0.0;
                 }
+                nonneg &= !(u32::from(neg) << (pooled + k));
             }
         }
+        self.nonneg = nonneg;
         self.skyline_clean_from = self.skyline_clean_from.max(hi);
         split
     }
@@ -1801,6 +1862,7 @@ impl AvailabilityProfile {
         }
         profile.times = state.times;
         profile.skyline_clean_from = state.skyline_clean_from;
+        profile.nonneg = profile.nonneg_mask();
         Ok(profile)
     }
 
@@ -1823,7 +1885,8 @@ impl AvailabilityProfile {
     }
 
     /// Inserts boundary `t` at rank `i` (`times[i - 1] < t < times[i]`),
-    /// duplicating segment `i - 1`, and keeps the watermark rank-aligned.
+    /// duplicating segment `i - 1` (which keeps every non-negativity bit
+    /// true), and keeps the watermark rank-aligned.
     fn insert_boundary(&mut self, i: usize, t: f64) {
         debug_assert!(i > 0 && self.times[i - 1] < t && self.times.get(i).is_none_or(|&x| t < x));
         self.times.insert(i, t);
@@ -2447,13 +2510,14 @@ mod tests {
                             continue;
                         }
                         let want = twin.earliest_start_linear(&d, from, dur);
-                        let (t, lo, hi) = profile.earliest_slot(&d, from, rank + 1, dur);
+                        let th = profile.thresholds(&d);
+                        let (t, lo, hi) = profile.earliest_slot(&th, from, rank + 1, dur);
                         proptest::prop_assert_eq!(
                             t.to_bits(), want.to_bits(),
                             "system {}: slot from {} gave {}, linear walk {}", kind, from, t, want
                         );
                         if t.is_finite() {
-                            if profile.carve(&d, lo, hi, t + dur) {
+                            if profile.carve(&th, lo, hi, t + dur) {
                                 memo.shift_ranks(hi);
                             }
                             twin.reserve(&d, t, dur);
@@ -2478,6 +2542,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn nonneg_bits_follow_carves_folds_and_restore() {
+        let mut p = AvailabilityProfile::new(
+            0.0,
+            PoolState::cpu_bb(8, 100.0),
+            vec![release(10.0, 4, 50.0)],
+        );
+        let binding = |p: &AvailabilityProfile, d: &JobDemand| {
+            let (bind, len) = p.binding(&p.thresholds(d).need);
+            bind[..len].to_vec()
+        };
+        assert_eq!(p.nonneg, 0b11);
+        assert_eq!(binding(&p, &d(2, 0.0)), [0], "burst-buffer-free: the node column alone");
+        assert_eq!(binding(&p, &d(2, 5.0)), [0, 1]);
+        // A burst-buffer-free carve skips that column; nothing goes
+        // negative.
+        p.reserve(&d(8, 0.0), 0.0, 5.0);
+        assert_eq!(p.nonneg, 0b11);
+        // Taking a fraction of `FIT_EPS` more than is free leaves a tiny
+        // negative, and burst-buffer-free demands scan the column again.
+        p.reserve(&d(0, 100.0 + FIT_EPS / 2.0), 5.0, 1.0);
+        assert!(p.state_at(5.0).bb_gb() < 0.0);
+        assert_eq!(p.nonneg, 0b01);
+        assert_eq!(binding(&p, &d(2, 0.0)), [0, 1]);
+        // Restore recomputes the bits from the values; a refold resets them.
+        let restored = AvailabilityProfile::restore(p.snapshot()).unwrap();
+        assert_eq!(restored.nonneg, 0b01);
+        p.rebuild_from_sorted(0.0, PoolState::cpu_bb(8, 100.0), vec![release(10.0, 4, 50.0)]);
+        assert_eq!(p.nonneg, 0b11);
     }
 
     #[test]

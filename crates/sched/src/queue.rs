@@ -9,24 +9,27 @@
 //!   happens. This replaces the monolithic loop's full
 //!   `O(n log n)`-per-invocation sort with `O(log n)` per arrival.
 //! * **WFP** scores are time-dependent (`(wait/walltime)³ × nodes` grows
-//!   every second), so the queue is re-scored and re-sorted at every
+//!   every second), so the queue is re-scored and re-ordered at every
 //!   scheduling invocation, as the paper's base scheduler does (§2.1).
-//!   Each job's score is computed **once** into a reused buffer and the
-//!   sort compares cached values — the comparator chain is unchanged, so
-//!   the permutation is identical to the recompute-in-comparator sort
-//!   ([`BaseScheduler::order`]), without the `O(n log n)` redundant score
-//!   evaluations per invocation.
+//!   Each job's score is computed **once** into a reused buffer, and the
+//!   order compares cached values with [`BaseScheduler::order`]'s
+//!   comparator chain. The previous invocation's order (less the started
+//!   jobs, arrivals appended) arrives almost sorted, so each entry is
+//!   *inserted* into it: O(n + inversions). When the inserts have shifted
+//!   more than `n·⌈log₂ n⌉` entries, the stable sort finishes the job.
 //!
 //! Both disciplines produce byte-identical orderings to the full
 //! re-sort: FCFS because `(submit, id)` is the same strict total order the
 //! sort used, WFP because scores are deterministic per `(job, now)` and
-//! the (stable) sort applies the same comparator to the same values.
-//! Property tests below check both claims on random queues.
+//! insertion is a stable sort too, applying the same comparator to the
+//! same values (and the fallback stable-sorts a permutation that kept
+//! every tie in its input order). Property tests below check both claims
+//! on random queues.
 //!
-//! Started-job cleanup subtracts a [`JobSet`] bitset inside `retain`, so
-//! each membership probe is a shift-and-mask instead of a hash — the
-//! `started.contains`-per-element pattern stays linear in the queue
-//! length with a tiny constant even on 100k-job traces.
+//! Started-job cleanup subtracts a [`JobSet`] bitset, so each membership
+//! probe is a shift-and-mask instead of a hash, and only compacts the
+//! queue prefix the starts can lie in (the window, under window-scoped
+//! backfill); the rest of the queue moves up with one `copy_within`.
 
 use crate::base_sched::BaseScheduler;
 use crate::jobset::JobSet;
@@ -39,9 +42,50 @@ pub struct QueueManager {
     base: BaseScheduler,
     /// Indices into the engine's job table, highest priority first.
     queue: Vec<usize>,
-    /// WFP sort scratch: `(score, submit, id, idx)` per queued job,
+    /// WFP order scratch: `(score, submit, id, idx)` per queued job,
     /// reused across invocations. Transient — never serialized.
-    scored: Vec<(f64, f64, u64, usize)>,
+    scored: Vec<Scored>,
+}
+
+/// A queued job's cached WFP key: `(score, submit, id, idx)`.
+type Scored = (f64, f64, u64, usize);
+
+/// WFP priority order on cached keys: descending score, then ascending
+/// `(submit, id)` — [`BaseScheduler::order`]'s comparator chain.
+fn wfp_cmp(a: &Scored, b: &Scored) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .unwrap_or(Ordering::Equal)
+        .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
+        .then_with(|| a.2.cmp(&b.2))
+}
+
+/// Stable-sorts `v` by [`wfp_cmp`], inserting each entry into the sorted
+/// prefix before it: O(n + inversions) on an almost sorted `v`. Once the
+/// inserts have shifted more than `n·⌈log₂ n⌉` entries, the standard
+/// stable sort finishes instead; the permutation is the same either way,
+/// since insertion never moves an entry past an equal one. Returns
+/// whether it fell back.
+fn insertion_sort(v: &mut [Scored]) -> bool {
+    let n = v.len();
+    let budget = n * n.next_power_of_two().trailing_zeros() as usize;
+    let mut shifted = 0usize;
+    for i in 1..n {
+        let x = v[i];
+        let mut at = i;
+        while at > 0 && wfp_cmp(&x, &v[at - 1]).is_lt() {
+            at -= 1;
+        }
+        if at < i {
+            shifted += i - at;
+            if shifted > budget {
+                v.sort_by(wfp_cmp);
+                return true;
+            }
+            v.copy_within(at..i, at + 1);
+            v[at] = x;
+        }
+    }
+    false
 }
 
 impl QueueManager {
@@ -73,7 +117,7 @@ impl QueueManager {
     /// Enqueues an arrived job.
     ///
     /// FCFS inserts at the job's sorted `(submit, id)` position; WFP
-    /// appends (its order is rebuilt per invocation anyway).
+    /// appends (the next [`QueueManager::order`] inserts it into place).
     pub fn push(&mut self, idx: usize, jobs: &[Job]) {
         match self.base {
             BaseScheduler::Fcfs => {
@@ -92,9 +136,9 @@ impl QueueManager {
     /// Establishes priority order for a scheduling invocation at `now`.
     ///
     /// FCFS is already sorted (checked in debug builds). WFP scores every
-    /// queued job once and stable-sorts the cached scores with
-    /// [`BaseScheduler::order`]'s comparator: descending score, then
-    /// ascending `(submit, id)`.
+    /// queued job once and re-orders the cached scores by insertion into
+    /// the queue's current order with [`BaseScheduler::order`]'s
+    /// comparator: descending score, then ascending `(submit, id)`.
     pub fn order(&mut self, jobs: &[Job], now: f64) {
         match self.base {
             BaseScheduler::Fcfs => {
@@ -113,12 +157,7 @@ impl QueueManager {
                     let j = &jobs[i];
                     (self.base.score(j, now), j.submit, j.id, i)
                 }));
-                self.scored.sort_by(|a, b| {
-                    b.0.partial_cmp(&a.0)
-                        .unwrap_or(Ordering::Equal)
-                        .then_with(|| a.1.partial_cmp(&b.1).unwrap_or(Ordering::Equal))
-                        .then_with(|| a.2.cmp(&b.2))
-                });
+                insertion_sort(&mut self.scored);
                 for (slot, e) in self.queue.iter_mut().zip(&self.scored) {
                     *slot = e.3;
                 }
@@ -126,16 +165,32 @@ impl QueueManager {
         }
     }
 
-    /// Removes every started job, preserving the order of the rest.
-    /// One linear pass with O(1) bitset probes.
-    pub fn remove_started(&mut self, started: &JobSet) {
-        if !started.is_empty() {
-            self.queue.retain(|&i| !started.contains(i));
+    /// Removes every started job, preserving the order of the rest. Every
+    /// started job must lie among the first `within` queue positions (the
+    /// window under window-scoped backfill, the whole queue otherwise):
+    /// that prefix is compacted with O(1) bitset probes, and the rest of
+    /// the queue closes the gap with one `copy_within`.
+    pub fn remove_started(&mut self, started: &JobSet, within: usize) {
+        if started.is_empty() {
+            return;
         }
+        let within = within.min(self.queue.len());
+        debug_assert!(
+            self.queue[within..].iter().all(|&i| !started.contains(i)),
+            "a started job lies beyond queue position {within}"
+        );
+        let mut kept = 0;
+        for r in 0..within {
+            let i = self.queue[r];
+            self.queue[kept] = i;
+            kept += usize::from(!started.contains(i));
+        }
+        self.queue.copy_within(within.., kept);
+        self.queue.truncate(self.queue.len() - (within - kept));
     }
 
     /// Extracts the queue's owned state: the discipline and the waiting
-    /// indices in their current order. The WFP sort scratch is not part
+    /// indices in their current order. The WFP order scratch is not part
     /// of the state (schema v1's `(base, queue)` pair is unchanged).
     pub fn snapshot(&self) -> QueueState {
         QueueState { base: self.base, queue: self.queue.clone() }
@@ -200,13 +255,13 @@ mod tests {
         let mut started = JobSet::new();
         started.insert(1);
         started.insert(3);
-        q.remove_started(&started);
+        q.remove_started(&started, q.len());
         assert_eq!(q.as_slice(), &[0, 2]);
     }
 
     /// Satellite regression: removing a large started set from a large
     /// queue must stay linear-ish. 200k queued jobs with half of them
-    /// started completes in one `retain` pass over the bitset; a
+    /// started completes in one compaction pass over the bitset; a
     /// quadratic membership scan (list `contains` per element) would be
     /// ~10^10 operations and blow far past the generous timed bound even
     /// on slow CI machines.
@@ -223,7 +278,7 @@ mod tests {
             started.insert(i);
         }
         let t0 = std::time::Instant::now();
-        q.remove_started(&started);
+        q.remove_started(&started, q.len());
         let elapsed = t0.elapsed();
         assert_eq!(q.len(), N / 2);
         assert!(
@@ -307,7 +362,7 @@ mod tests {
                                 started.insert(i);
                             }
                         }
-                        q.remove_started(&started);
+                        q.remove_started(&started, q.len());
                     }
                     // Invocation: advance time, order, compare to the
                     // full re-sort oracle.
@@ -352,6 +407,69 @@ mod tests {
             let mut full: Vec<usize> = (0..jobs.len()).collect();
             BaseScheduler::Wfp.order(&mut full, &jobs, now);
 
+            prop_assert_eq!(q.as_slice(), &full[..]);
+        }
+
+        /// WFP ordering by insertion into the previous order equals the
+        /// full recompute-in-comparator sort whatever that previous order
+        /// was: random, already sorted, or reversed. Reversed, every pair
+        /// is an inversion, so the inserts overrun their `n·⌈log₂ n⌉`
+        /// shift budget and the stable-sort fallback finishes the order.
+        #[test]
+        fn prop_wfp_insertion_from_any_previous_order_equals_full_sort(
+            specs in proptest::collection::vec((0u32..100, 1u32..64, 1u32..40), 16..80),
+            shuffle in proptest::collection::vec(0usize..1_000, 80),
+            now in 100u32..5000,
+        ) {
+            let jobs: Vec<Job> = specs
+                .iter()
+                .enumerate()
+                .map(|(id, &(s, nodes, wall))| {
+                    Job::new(id as u64, f64::from(s), nodes, f64::from(wall) * 30.0, f64::from(wall) * 60.0)
+                })
+                .collect();
+            let now = f64::from(now);
+            let mut sorted: Vec<usize> = (0..jobs.len()).collect();
+            BaseScheduler::Wfp.order(&mut sorted, &jobs, now);
+
+            let mut random: Vec<usize> = (0..jobs.len()).collect();
+            for (i, &r) in shuffle.iter().enumerate().take(jobs.len()) {
+                random.swap(i, r % jobs.len());
+            }
+            let reversed: Vec<usize> = sorted.iter().rev().copied().collect();
+            for previous in [random, sorted.clone(), reversed.clone()] {
+                let mut q = QueueManager::restore(QueueState { base: BaseScheduler::Wfp, queue: previous });
+                q.order(&jobs, now);
+                prop_assert_eq!(q.as_slice(), &sorted[..]);
+            }
+
+            let key = |i: usize| (BaseScheduler::Wfp.score(&jobs[i], now), jobs[i].submit, jobs[i].id, i);
+            let mut in_order: Vec<Scored> = sorted.iter().map(|&i| key(i)).collect();
+            prop_assert!(!insertion_sort(&mut in_order), "a sorted order needs no fallback");
+            let mut backwards: Vec<Scored> = reversed.iter().map(|&i| key(i)).collect();
+            prop_assert!(insertion_sort(&mut backwards), "a reversed order must fall back");
+            prop_assert!(backwards.iter().map(|e| e.3).eq(sorted.iter().copied()));
+        }
+
+        /// Compacting only the prefix the starts lie in equals the full
+        /// `retain` over the queue, for any start set inside a random
+        /// window prefix (including the empty set and the whole queue).
+        #[test]
+        fn prop_prefix_removal_equals_full_retain(
+            n in 0usize..300,
+            within in 0usize..300,
+            picks in proptest::collection::vec(proptest::prelude::any::<bool>(), 300),
+        ) {
+            let queue: Vec<usize> = (0..n).map(|i| (i * 7_919) % 1_009).collect();
+            let within = within.min(n);
+            let mut started = JobSet::new();
+            for (&i, _) in queue[..within].iter().zip(&picks).filter(|(_, &p)| p) {
+                started.insert(i);
+            }
+            let mut q = QueueManager::restore(QueueState { base: BaseScheduler::Fcfs, queue: queue.clone() });
+            q.remove_started(&started, within);
+            let mut full = queue;
+            full.retain(|&i| !started.contains(i));
             prop_assert_eq!(q.as_slice(), &full[..]);
         }
     }

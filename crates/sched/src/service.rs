@@ -355,6 +355,8 @@ impl<'o> SchedCore<'o> {
             self.cfg.dynamic_window.map(|d| d.size_for(queue_len)).unwrap_or(self.cfg.window.size);
         scratch.window_idx.clear();
         scratch.window_ids.clear();
+        // One past the window's last queue position.
+        let window_end;
         {
             let jobs = &self.state.jobs;
             let queue = self.queue.as_slice();
@@ -362,6 +364,7 @@ impl<'o> SchedCore<'o> {
             let deps_met =
                 |qpos: usize| jobs[queue[qpos]].deps.iter().all(|d| completed.contains(d));
             let window_qpos = fill_window(queue_len, window_size, deps_met);
+            window_end = window_qpos.last().map_or(0, |&q| q + 1);
             scratch.window_idx.extend(window_qpos.iter().map(|&q| queue[q]));
             scratch.window_ids.extend(scratch.window_idx.iter().map(|&i| jobs[i].id));
         }
@@ -496,7 +499,13 @@ impl<'o> SchedCore<'o> {
                 self.tracker.forget(self.state.jobs[i].id);
             }
         }
-        self.queue.remove_started(&self.state.started);
+        // Under window scope every start came from the window, so only the
+        // queue up to its last position needs compacting.
+        let within = match self.cfg.backfill {
+            BackfillScope::Window => window_end,
+            BackfillScope::Queue => queue_len,
+        };
+        self.queue.remove_started(&self.state.started, within);
         let started_count = self.state.started.len();
         self.state.notify(|o| o.on_invocation_end(now, started_count));
         self.scratch = scratch;

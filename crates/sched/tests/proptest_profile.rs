@@ -31,11 +31,18 @@
 //! 6. once every job has finished, the drained ledger refolds to the
 //!    from-scratch profile too.
 //!
+//! A second harness drives burst-buffer-free demands, which the scan
+//! answers from the columns that can still fail them: the node column
+//! alone while the burst-buffer column holds no negative value. It checks
+//! them against `LegacyProfile` both while that holds and after carves
+//! have driven burst-buffer values to tiny negatives (within `FIT_EPS` of
+//! fitting), where the burst-buffer column must be scanned again.
+//!
 //! Debug builds double the coverage for free: the queries internally
 //! cross-check the scan answers against the linear walk via
 //! `debug_assert!` oracles on every call made here.
 
-use bbsched_core::pools::PoolState;
+use bbsched_core::pools::{PoolState, FIT_EPS};
 use bbsched_core::problem::{JobDemand, SSD_LARGE_GB, SSD_SMALL_GB};
 use bbsched_core::resource::{DemandSlot, Flavor, FlavorSet, ResourceModel, ResourceSpec};
 use bbsched_sched::{AllocLedger, AvailabilityProfile, LegacyProfile, ReleaseMirror};
@@ -382,8 +389,101 @@ fn check_interleaving(sut: &SystemUnderTest, ops: &[Op]) -> Result<(), TestCaseE
     Ok(())
 }
 
+/// Carves and queries burst-buffer-free demands on a deep pooled
+/// profile, first with every burst-buffer value non-negative, then after
+/// zero-node carves that take up to `FIT_EPS` more burst buffer than a
+/// segment holds. Taking all of `FIT_EPS` can leave a value below
+/// `-FIT_EPS` (`c + FIT_EPS` rounds up), which fails even a demand for no
+/// burst buffer. `gpus` adds a GPU demand on a machine with a GPU pool,
+/// so the node column binds together with the GPU column.
+fn check_bb_free(pool: PoolState, gpus: bool, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut ledger = AllocLedger::new(pool);
+    for i in 0..230 {
+        let d = JobDemand::cpu_bb(1, f64::from(i as u16 % 50) * 4.0);
+        ledger.start(i, d, 400.0 + i as f64 * 7.0);
+    }
+    let now = 0.0;
+    let mut mirror = ReleaseMirror::new();
+    let mut profile = AvailabilityProfile::default();
+    mirror.sync(&ledger);
+    mirror.fold_into(now, *ledger.pool(), &mut profile);
+    let mut legacy = LegacyProfile::new(now, *ledger.pool(), ledger.release_schedule());
+    let bb_free = |a: u16, c: u16| {
+        let d = JobDemand::cpu_bb(1 + u32::from(a) % 600, 0.0);
+        if gpus {
+            d.with_extra(0, f64::from(c % 1_100))
+        } else {
+            d
+        }
+    };
+    let min_bb = |p: &AvailabilityProfile| {
+        p.states().iter().map(|s| s.bb_gb()).fold(f64::INFINITY, f64::min)
+    };
+    let step = |profile: &mut AvailabilityProfile,
+                legacy: &mut LegacyProfile,
+                &(_, a, b, c): &Op|
+     -> Result<(), TestCaseError> {
+        let d = bb_free(a, c);
+        let dur = 1.0 + f64::from(b % 900);
+        check_queries(profile, legacy, &d, now, dur)?;
+        let t = profile.reserve_earliest(&d, now, dur);
+        if t.is_finite() {
+            legacy.reserve(&d, t, dur);
+        }
+        prop_assert_eq!(profile.times(), legacy.times());
+        prop_assert_eq!(profile.states(), legacy.states());
+        Ok(())
+    };
+    prop_assert!(min_bb(&profile) >= 0.0, "the fold leaves no negative burst buffer");
+    for op in ops {
+        step(&mut profile, &mut legacy, op)?;
+    }
+    prop_assert!(min_bb(&profile) >= 0.0, "burst-buffer-free carves leave none either");
+    // Tiny negatives: on every segment, a zero-node demand for the
+    // segment's burst buffer plus a tenth to all of `FIT_EPS`.
+    for i in 0..profile.times().len() {
+        let start = profile.times()[i];
+        let dur = profile.times().get(i + 1).map_or(1.0, |&next| next - start);
+        let c = profile.states()[i].bb_gb().max(0.0);
+        let tenths = 1 + (i + usize::from(ops[0].2)) % 10;
+        let bb = c + tenths as f64 * 0.1 * FIT_EPS;
+        let d = JobDemand::cpu_bb(0, bb);
+        if profile.fits_interval(&d, start, dur) && legacy.fits_interval(&d, start, dur) {
+            profile.reserve(&d, start, dur);
+            legacy.reserve(&d, start, dur);
+        }
+    }
+    prop_assert!(
+        profile.states().iter().any(|s| s.bb_gb() + FIT_EPS < 0.0),
+        "some carve leaves burst buffer that fails a demand for none"
+    );
+    prop_assert_eq!(profile.states(), legacy.states());
+    for op in ops {
+        step(&mut profile, &mut legacy, op)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
+
+    /// Burst-buffer-free demands answer and carve like `LegacyProfile`
+    /// whether or not the burst-buffer column holds a negative value, on
+    /// a CPU + burst-buffer machine and on one with a GPU pool.
+    #[test]
+    fn bb_free_demands_match_legacy_around_tiny_negative_bb(
+        ops in proptest::collection::vec(
+            (0u8..3, 0u16..10_000, 0u16..10_000, 0u16..10_000), 1..40),
+    ) {
+        let gpus = ResourceModel::new(vec![
+            ResourceSpec::pooled("nodes", 512.0, DemandSlot::Nodes),
+            ResourceSpec::pooled("bb_gb", 50_000.0, DemandSlot::BbGb),
+            ResourceSpec::pooled("gpus", 1_024.0, DemandSlot::Extra(0)),
+        ])
+        .expect("3-resource pooled test model is valid");
+        check_bb_free(PoolState::cpu_bb(512, 50_000.0), false, &ops)?;
+        check_bb_free(PoolState::from_model(&gpus), true, &ops)?;
+    }
 
     /// The column scan is bit-identical to the linear oracles and to
     /// `LegacyProfile`, the incremental fold equals a from-scratch build,
